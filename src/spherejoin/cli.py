@@ -6,8 +6,10 @@ crosscheck.  Inputs come from JSON files (--in) or from generator specs
 identical invocations produce byte-identical output.
 
 Exit codes: 0 on success, 2 on input/validation errors (including cap
-refusals).  With --assert, recognize exits 0 on a positive verdict with
-criterion agreement, 1 on an agreed negative, 3 on disagreement.
+refusals), 4 when an internal invariant fails (a library defect, reported
+on stderr with nothing on stdout).  With --assert, recognize exits 0 on a
+positive verdict with criterion agreement, 1 on an agreed negative, 3 on
+disagreement.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 
 from .catalog import build_catalog
 from .complexes import SimplicialComplex, double
-from .errors import InvalidParameterError, SphereJoinError
+from .errors import InternalInvariantError, InvalidParameterError, SphereJoinError
 from .geometry import (
     dihedral_nonobtuse_check,
     dual_boundary_complex,
@@ -400,6 +402,9 @@ def main(argv=None) -> int:
     except (SphereJoinError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

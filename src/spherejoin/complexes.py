@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (
     IndexOutOfRangeError,
+    InternalInvariantError,
     InvalidDimensionError,
     NotAFaceError,
     NotMaximalError,
@@ -269,35 +270,18 @@ class SimplicialComplex:
     def minimal_non_faces(self) -> tuple[Face, ...]:
         """Inclusion-minimal vertex subsets that are not faces.
 
-        Enumerates by increasing cardinality; a subset is a candidate only
-        when all its proper subsets are faces, i.e. when it contains no
-        smaller minimal non-face.  Output is lexicographic on sorted
-        vertex tuples.  Worst case 2^m, fine at this library's scale.
+        A set is a non-face exactly when it meets the complement of every
+        maximal face, so the minimal non-faces are the minimal transversals
+        of the facet complements; ``reconstruct_from_non_faces`` runs the
+        same kernel in the other direction.  Output is lexicographic on
+        sorted vertex tuples and is cached on the complex.
         """
-        if self._minimal_non_faces is not None:
-            return self._minimal_non_faces
-        n = len(self.vertices)
-        max_masks = sorted(self._max_masks, key=lambda m: -bin(m).count("1"))
-        found: list[int] = []
-        bits = [1 << i for i in range(n)]
-        for size in range(2, n + 1):
-            any_candidate = False
-            for combo in itertools.combinations(bits, size):
-                m = 0
-                for b in combo:
-                    m |= b
-                if any(m & nf == nf for nf in found):
-                    continue
-                any_candidate = True
-                if not any(m & ~fm == 0 for fm in max_masks):
-                    found.append(m)
-            if not any_candidate:
-                break
-        result = tuple(
-            sorted((self._unmask(m) for m in found), key=lambda f: tuple(sorted(f)))
-        )
-        self._minimal_non_faces = result
-        return result
+        if self._minimal_non_faces is None:
+            found = _minimal_transversals([self._full_mask & ~fm for fm in self._max_masks])
+            self._minimal_non_faces = tuple(
+                sorted((self._unmask(m) for m in found), key=lambda f: tuple(sorted(f)))
+            )
+        return self._minimal_non_faces
 
     def is_simplex_boundary(self) -> bool:
         """True iff the maximal faces are exactly all (m-1)-subsets of the m vertices."""
@@ -345,15 +329,20 @@ def build_complex(faces, vertex_count: int, labels=None) -> SimplicialComplex:
     for f in faces:
         fs = frozenset(f)
         for v in fs:
-            if not isinstance(v, int) or v < 0 or v >= vertex_count:
+            # bool is an int subclass, but JSON true is not a vertex id
+            valid = isinstance(v, int) and not isinstance(v, bool)
+            if not valid or v < 0 or v >= vertex_count:
                 raise IndexOutOfRangeError(
                     f"vertex {v!r} outside range [0, {vertex_count})"
                 )
         cleaned.append(fs)
     covered = set().union(*cleaned) if cleaned else set()
-    missing = sorted(set(range(vertex_count)) - covered)
-    if missing:
-        raise UncoveredVertexError(f"vertices {missing} appear in no face")
+    # counted first, so a huge vertex_count fails without building its range
+    uncovered = vertex_count - len(covered)
+    if uncovered:
+        first = itertools.islice((v for v in range(vertex_count) if v not in covered), 10)
+        more = f" (of {uncovered})" if uncovered > 10 else ""
+        raise UncoveredVertexError(f"vertices {list(first)}{more} appear in no face")
     return SimplicialComplex(cleaned, vertices=range(vertex_count), labels=labels)
 
 
@@ -377,9 +366,10 @@ def reconstruct_from_non_faces(vertices, non_faces) -> SimplicialComplex:
     """The complex on ``vertices`` whose faces are the sets containing no
     listed non-face.
 
-    Maximal faces are complements of the minimal transversals of the
-    non-face family; together with ``minimal_non_faces`` this realizes the
-    standard bijection between complexes and their minimal non-faces.
+    A set is a face exactly when its complement meets every non-face, so
+    the maximal faces are the complements of the minimal transversals of
+    the family.  This is the inverse of ``minimal_non_faces``, computed by
+    the same kernel.  Empty non-faces are ignored.
     """
     verts = tuple(sorted(set(vertices)))
     bit = {v: i for i, v in enumerate(verts)}
@@ -393,60 +383,43 @@ def reconstruct_from_non_faces(vertices, non_faces) -> SimplicialComplex:
             m |= 1 << bit[v]
         if m:
             fam.append(m)
-    if not fam:
-        if not verts:
-            return SimplicialComplex([])
-        return SimplicialComplex([verts], vertices=verts)
-    transversals = _minimal_transversals(fam)
     faces = []
-    for t in transversals:
+    for t in _minimal_transversals(fam):
         c = full & ~t
         faces.append(frozenset(verts[i] for i in range(len(verts)) if c >> i & 1))
     return SimplicialComplex(faces, vertices=verts)
 
 
-def _minimal_transversals(family: list[int]) -> list[int]:
-    """All inclusion-minimal sets (as bitmasks) hitting every set of the family."""
-    results: list[int] = []
+def _minimal_transversals(edges: list[int]) -> list[int]:
+    """All inclusion-minimal bitmasks meeting every edge (Berge dualization).
 
-    def hits_all(t: int) -> bool:
-        return all(t & s for s in family)
-
-    def is_minimal(t: int) -> bool:
-        b = t
+    Edges are added one at a time, smallest first.  A minimal transversal
+    that already meets the new edge e stays; one that misses it, t, is
+    replaced by t | v for each vertex v of e.  Such a candidate can only
+    contain a transversal that was kept and contains v: a replaced t'
+    inside it would lie inside t, and the transversals form an antichain.
+    So that one test keeps the antichain.  An empty edge leaves no
+    transversal; an empty family has the single transversal 0.
+    """
+    transversals = [0]
+    for e in sorted(edges, key=int.bit_count):
+        kept, missed = [], []
+        for t in transversals:
+            (kept if t & e else missed).append(t)
+        if not missed:
+            continue
+        grown = kept[:]
+        b = e
         while b:
-            low = b & -b
-            if hits_all(t & ~low):
-                return False
-            b &= ~low
-        return True
-
-    def extend(chosen: int, remaining: list[int]) -> None:
-        unhit = [s for s in remaining if not (s & chosen)]
-        if not unhit:
-            if is_minimal(chosen) and not any(
-                r & ~chosen == 0 for r in results
-            ):
-                results.append(chosen)
-            return
-        pivot = min(unhit, key=lambda s: bin(s).count("1"))
-        b = pivot
-        while b:
-            low = b & -b
-            # prune: adding a vertex that already yields a known transversal
-            cand = chosen | low
-            if not any(r & ~cand == 0 for r in results):
-                extend(cand, unhit)
-            b &= ~low
-
-    extend(0, family)
-    # final antichain sweep (branch order can momentarily admit supersets)
-    results.sort(key=lambda m: bin(m).count("1"))
-    kept: list[int] = []
-    for t in results:
-        if not any(k & ~t == 0 for k in kept):
-            kept.append(t)
-    return kept
+            v = b & -b
+            blockers = [k for k in kept if k & v]
+            for t in missed:
+                c = t | v
+                if not any(k | c == c for k in blockers):
+                    grown.append(c)
+            b ^= v
+        transversals = grown
+    return transversals
 
 
 def double(complex_: SimplicialComplex) -> SimplicialComplex:
@@ -475,7 +448,7 @@ def double(complex_: SimplicialComplex) -> SimplicialComplex:
         labels.extend([lab, lab + "'"])
     out = SimplicialComplex(out.maximal_faces, vertices=range(2 * m), labels=labels)
     if set(out.minimal_non_faces()) != set(lifted):
-        raise AssertionError("doubled complex has unexpected minimal non-faces")
+        raise InternalInvariantError("doubled complex has unexpected minimal non-faces")
     return out
 
 

@@ -47,3 +47,11 @@ class PreconditionViolatedError(SphereJoinError):
 
 class InvalidParameterError(SphereJoinError):
     """A generator or command parameter is out of range or malformed."""
+
+
+class InternalInvariantError(Exception):
+    """A construction or criterion broke an invariant it guarantees.
+
+    This is a defect in the library, never a verdict about the input, so it
+    deliberately does not derive from ``SphereJoinError``.
+    """

@@ -25,6 +25,7 @@ from .complexes import (
 )
 from .errors import (
     CapExceededError,
+    InternalInvariantError,
     InvalidDimensionError,
     PreconditionViolatedError,
 )
@@ -283,7 +284,11 @@ def check_double(
     """The doubled complex decomposes iff the input does.
 
     On success the parts of the double must all have even size, twice the
-    input's part sizes when the input decomposes.
+    input's part sizes when the input decomposes.  The lifted minimal
+    non-faces partition the 2m doubled vertices exactly when the original
+    ones partition the m vertices, so this verdict is logically equivalent
+    to the partition half of ``NonFacePartition``; it stays in the report
+    because the criterion list names it.
     """
     if 2 * complex_.vertex_count > cap:
         raise CapExceededError(
@@ -297,12 +302,12 @@ def check_double(
         )
     sizes = sorted(len(p) for p in dec.parts)
     if any(s % 2 for s in sizes):
-        raise AssertionError(f"double produced odd part sizes {sizes}")
+        raise InternalInvariantError(f"double produced odd part sizes {sizes}")
     own, _ = decompose_by_non_faces(complex_)
     if own is not None:
         expected = sorted(2 * len(p) for p in own.parts)
         if sizes != expected:
-            raise AssertionError(
+            raise InternalInvariantError(
                 f"double part sizes {sizes} do not match doubled input parts {expected}"
             )
     return RecognitionReport("Double", True)

@@ -100,3 +100,20 @@ def minimal_non_faces_oracle(vertices, maximal_faces):
         if all(subset[:i] + subset[i + 1 :] in faces for i in range(len(subset))):
             out.append(frozenset(subset))
     return set(out)
+
+
+def minimal_transversals_oracle(vertex_count, edges):
+    """Inclusion-minimal subsets of range(vertex_count) meeting every edge.
+
+    Edges and results are bitmasks; every subset is tested, and a hitting
+    set is minimal when dropping any one of its vertices stops it hitting.
+    """
+    def hits(t):
+        return all(t & e for e in edges)
+
+    out = set()
+    for subset in powerset(range(vertex_count)):
+        t = sum(1 << v for v in subset)
+        if hits(t) and not any(hits(t & ~(1 << v)) for v in subset):
+            out.add(t)
+    return out

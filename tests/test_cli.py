@@ -1,6 +1,13 @@
 import json
 
-from spherejoin import SimplicialComplex, boundary_of_simplex, simplex_boundary_on
+from spherejoin import (
+    InternalInvariantError,
+    SimplicialComplex,
+    SphereJoinError,
+    boundary_of_simplex,
+    simplex_boundary_on,
+)
+from spherejoin import complexes
 from spherejoin.cli import main
 
 
@@ -62,6 +69,19 @@ class TestRecognize:
         assert code == 3
         data = json.loads(out)
         assert data["agreement"] is False
+
+    def test_internal_invariant_failure_exit_code(self, capsys, monkeypatch):
+        # a wrong rebuild makes double()'s own non-face check fail; that is a
+        # library defect and must not read as exit 1 ("agreed negative")
+        def simplex_on(vertices, non_faces):
+            return SimplicialComplex([vertices], vertices=vertices)
+
+        monkeypatch.setattr(complexes, "reconstruct_from_non_faces", simplex_on)
+        code, out, err = run(capsys, "recognize", "--gen", "product:1,1", "--assert")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert not issubclass(InternalInvariantError, SphereJoinError)
 
 
 class TestHrk:

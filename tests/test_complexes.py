@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spherejoin import (
     IndexOutOfRangeError,
@@ -17,9 +18,10 @@ from spherejoin import (
     reconstruct_from_non_faces,
     simplex_boundary_on,
 )
+from spherejoin.complexes import _minimal_transversals
 
-from conftest import cycle
-from oracle import minimal_non_faces_oracle
+from conftest import complexes, cycle
+from oracle import minimal_non_faces_oracle, minimal_transversals_oracle
 
 
 def faces_of(k):
@@ -45,6 +47,21 @@ class TestBuild:
             build_complex([{0, 3}], 3)
         with pytest.raises(IndexOutOfRangeError):
             build_complex([{-1, 0}], 2)
+
+    def test_bool_vertex_rejected(self):
+        with pytest.raises(IndexOutOfRangeError):
+            build_complex([[True, 0], [1, 2], [0, 2]], 3)
+        data = json.loads('{"m": 3, "maximal_faces": [[true, 0], [1, 2], [0, 2]]}')
+        with pytest.raises(IndexOutOfRangeError):
+            SimplicialComplex.from_json_dict(data)
+
+    def test_huge_uncovered_vertex_count(self):
+        data = {"m": 10**6, "maximal_faces": [[0, 1]]}
+        with pytest.raises(UncoveredVertexError) as info:
+            SimplicialComplex.from_json_dict(data)
+        assert str(info.value) == (
+            "vertices [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] (of 999998) appear in no face"
+        )
 
     def test_empty_complex(self):
         k = SimplicialComplex([])
@@ -193,10 +210,49 @@ class TestMinimalNonFaces:
             c.vertices, c.maximal_faces
         )
 
+    @settings(max_examples=80, deadline=None)
+    @given(complexes(max_vertices=8))
+    def test_random_complexes_against_oracle(self, k):
+        assert set(k.minimal_non_faces()) == minimal_non_faces_oracle(
+            k.vertices, k.maximal_faces
+        )
+
+    def test_simplex_has_none(self):
+        assert build_complex([{0, 1, 2}], 3).minimal_non_faces() == ()
+        assert SimplicialComplex([]).minimal_non_faces() == ()
+
     def test_reconstruct_round_trip(self, octahedron, pentagon):
         for k in (octahedron, pentagon, boundary_of_simplex(3)):
             rebuilt = reconstruct_from_non_faces(k.vertices, k.minimal_non_faces())
             assert rebuilt == k
+
+
+@st.composite
+def edge_families(draw):
+    """(vertex count, edges as bitmasks), with duplicate, nested and empty
+    edges derived from the drawn ones."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    full = (1 << n) - 1
+    edges = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=7))
+    if edges:
+        # base & mask: mask = full duplicates an edge, mask = 0 gives the empty one
+        derived = st.tuples(st.sampled_from(edges), st.integers(min_value=0, max_value=full))
+        edges += [e & mask for e, mask in draw(st.lists(derived, max_size=3))]
+    return n, draw(st.permutations(edges))
+
+
+class TestMinimalTransversals:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_families())
+    @example((0, []))
+    @example((3, [0]))
+    @example((4, [0b0011, 0b0011, 0b0111, 0b1100]))
+    @example((5, [0b11111, 0b00001, 0b00110, 0b00010, 0]))
+    def test_against_powerset_oracle(self, family):
+        n, edges = family
+        got = _minimal_transversals(edges)
+        assert len(got) == len(set(got))
+        assert set(got) == minimal_transversals_oracle(n, edges)
 
 
 class TestPseudomanifold:
@@ -268,6 +324,15 @@ class TestDouble:
             [0, 1, 4, 5],
             [2, 3, 6, 7],
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_vertices=6))
+    def test_double_non_faces_are_lifted(self, k):
+        lifted = {
+            frozenset().union(*({2 * v, 2 * v + 1} for v in nf))
+            for nf in minimal_non_faces_oracle(k.vertices, k.maximal_faces)
+        }
+        assert set(double(k).minimal_non_faces()) == lifted
 
     def test_labels_suffixed(self):
         d = double(simplex_boundary_on([0, 1]))

@@ -1,7 +1,7 @@
 import random
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from spherejoin import (
     Field,
@@ -18,17 +18,7 @@ from spherejoin import (
     reduced_betti,
 )
 
-
-@st.composite
-def complexes(draw, max_vertices=6):
-    m = draw(st.integers(min_value=1, max_value=max_vertices))
-    n_faces = draw(st.integers(min_value=0, max_value=6))
-    faces = [
-        draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1, max_size=m))
-        for _ in range(n_faces)
-    ]
-    faces.extend({v} for v in range(m))  # cover every vertex
-    return SimplicialComplex(faces, vertices=range(m))
+from conftest import complexes
 
 
 @settings(max_examples=60, deadline=None)
