@@ -22,6 +22,7 @@ from .errors import (
     IndexOutOfRangeError,
     InternalInvariantError,
     InvalidDimensionError,
+    InvalidParameterError,
     NotAFaceError,
     NotMaximalError,
     UncoveredVertexError,
@@ -58,6 +59,7 @@ class SimplicialComplex:
         "_full_mask",
         "_faces_by_dim",
         "_minimal_non_faces",
+        "_sweep_tables",
         "__weakref__",
     )
 
@@ -107,6 +109,8 @@ class SimplicialComplex:
         self._full_mask = (1 << len(verts)) - 1
         self._faces_by_dim = None
         self._minimal_non_faces = None
+        # filled by the homology subset sweep
+        self._sweep_tables = None
 
     # -- basic protocol ---------------------------------------------------
 
@@ -307,7 +311,10 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        m = int(data["m"])
+        m = data["m"]
+        # JSON true and 1.7 would pass int(); only a JSON integer is a count
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise InvalidParameterError(f'"m" must be an integer, got {m!r}')
         labels = data.get("labels")
         return build_complex(data["maximal_faces"], m, labels=labels)
 

@@ -8,17 +8,41 @@ For the boundary complex dual to a simple polytope this equals the total
 cohomology rank of the associated real moment-angle manifold, and it is
 2^(m - dim K - 1) exactly when the polytope is a product of simplices.
 
+One sweep per complex fills the GF(2) table and the rational table in a
+single pass over the subsets J:
+
+- Cone skip.  A vertex v of J is a cone apex of K_J exactly when no
+  minimal non-face inside J contains v.  A subset-OR table of the minimal
+  non-faces gives, per J, the union of those inside it; K_J is a cone, and
+  acyclic over every field, unless that union is J itself.
+- The remaining restrictions are ranked once each, over GF(2), from
+  boundary rows computed once per complex.
+- Rational ranks from GF(2) ranks.  An integer matrix has rank mod 2 at
+  most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree;
+  both alternating sums equal the reduced Euler characteristic.  If the
+  nonzero GF(2) Betti numbers all sit in degrees of one parity, the gaps
+  are nonnegative and carry one sign in an alternating sum that is 0, so
+  all of them vanish.  Fraction-free integer elimination runs only on
+  restrictions whose GF(2) homology has both parities, where 2-torsion
+  can make the fields differ (a projective plane has beta_1 = beta_2 = 1
+  over GF(2) and no rational homology), and only once the rational table
+  is asked for.
+
+The tables are cached on the complex itself, so every public function and
+both fields share one sweep, and a long-running process holds no table of
+a complex it has dropped.
+
 All arithmetic is exact: GF(2) uses bitset elimination, rational ranks use
 fraction-free integer elimination.  Sweeps are pure functions of immutable
-inputs, so results do not depend on evaluation order and the subset loop
-could be partitioned across workers without changing any output.
+inputs, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complexes import SimplicialComplex
 from .errors import CapExceededError, InvalidDimensionError
@@ -68,6 +92,17 @@ class BigradedBettiTable:
 # -- core engine ---------------------------------------------------------------
 
 
+def _boundary_row(face: int, index: dict[int, int]) -> int:
+    """GF(2) boundary of a face bitmask, as a bitmask over `index` positions."""
+    row = 0
+    b = face
+    while b:
+        low = b & -b
+        row |= 1 << index[face & ~low]
+        b &= ~low
+    return row
+
+
 def _boundary_rank(lower: list[int], upper: list[int], field: Field) -> int:
     """Rank of the boundary map from the faces in `upper` to those in `lower`.
 
@@ -78,16 +113,7 @@ def _boundary_rank(lower: list[int], upper: list[int], field: Field) -> int:
         return 0
     index = {m: i for i, m in enumerate(lower)}
     if field is Field.GF2:
-        rows = []
-        for f in upper:
-            row = 0
-            b = f
-            while b:
-                low = b & -b
-                row |= 1 << index[f & ~low]
-                b &= ~low
-            rows.append(row)
-        return gf2_rank(rows)
+        return gf2_rank([_boundary_row(f, index) for f in upper])
     rows = []
     width = len(lower)
     for f in upper:
@@ -129,55 +155,134 @@ def reduced_betti(complex_: SimplicialComplex, field: Field) -> BettiData:
     return BettiData(reduced=_reduced_from_masks(complex_.faces_by_dim(), field), field=field)
 
 
-def _maximal_restrictions(max_masks: tuple[int, ...], jmask: int) -> list[int]:
-    """Maximal faces of the full subcomplex on the vertex bitmask `jmask`."""
-    cand = sorted({m & jmask for m in max_masks}, key=lambda m: -bin(m).count("1"))
-    kept: list[int] = []
-    for g in cand:
-        if not any(g & ~h == 0 for h in kept):
-            kept.append(g)
-    return kept
+def _non_faces_inside(n: int, non_faces: list[int]) -> array:
+    """Entry J: the union of the given non-faces that lie inside J.
 
-
-def _has_cone_vertex(max_masks: tuple[int, ...], jmask: int) -> bool:
-    """True when some vertex of the restriction lies in all its maximal faces.
-
-    Such a restriction is a cone, hence acyclic over every field; the sweep
-    skips its matrix work entirely.
+    A subset-OR transform over the n bits (n <= 64; a sweep past that
+    could not finish anyway).  The table is packed into one integer with a
+    w-bit field per subset, so each of the n steps ORs every subset
+    containing bit i with its partner without bit i in a single
+    shift-and-mask; the fields then load straight into an array.
     """
-    common = jmask
-    for g in _maximal_restrictions(max_masks, jmask):
-        common &= g
-        if not common:
-            return False
-    return common != 0
+    code = next((c for c in "BHIQ" if 8 * array(c).itemsize >= n), "Q")
+    w = 8 * array(code).itemsize
+    size = w << n
+    table = 0
+    for nf in non_faces:
+        table |= nf << (w * nf)
+    for i in range(n):
+        half = w << i
+        # the fields of subsets containing bit i
+        with_bit = ((1 << half) - 1) << half
+        width = 2 * half
+        while width < size:
+            with_bit |= with_bit << width
+            width *= 2
+        table |= (table << half) & with_bit
+    out = array(code)
+    out.frombytes(table.to_bytes(size // 8, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
-@lru_cache(maxsize=None)
-def _subset_sweep(complex_: SimplicialComplex, field: Field) -> dict[tuple[int, int], int]:
-    """Reduced Betti ranks of every full subcomplex, keyed by (|J|, degree).
+def _subset_sweep(
+    complex_: SimplicialComplex,
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], tuple[int, ...]]:
+    """Reduced Betti ranks of every full subcomplex K_J, keyed by (|J|, degree),
+    from one pass over the subsets J: the GF(2) table, the rational table
+    without the subsets the parity test leaves open, and those subsets.
 
-    Deterministic integer sums; the result is independent of the order in
-    which subsets are processed.
+    Cone skip: a vertex v of J is a cone apex of K_J exactly when no
+    minimal non-face inside J contains v.  (Were v an apex inside such an
+    N, the face N - v of K_J would make N a face too; if no such N exists,
+    adding v to a face of K_J cannot create a non-face.)  So K_J
+    is a cone, hence acyclic over every field, unless J is the union of
+    the minimal non-faces inside it; that union is one table lookup.
+
+    Every other restriction is ranked once, over GF(2).  A face's boundary
+    lies in K_J whenever the face does, so each face's GF(2) boundary row,
+    indexed by the faces one dimension down in K, is computed once and
+    serves every J.
+
+    Rational ranks from GF(2) ranks: an integer matrix has rank mod 2 at
+    most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree,
+    and both alternating sums equal the reduced Euler characteristic.  When
+    every nonzero GF(2) Betti number sits in degrees of one parity, the
+    nonnegative gaps beta_d(GF(2)) - beta_d(Q) all carry the same sign in
+    an alternating sum that is 0, so they all vanish and the two rows are
+    equal.  Restrictions with GF(2) homology in degrees of both parities
+    stay open; `_sweep_table` ranks them over Q, by fraction-free
+    elimination, only when the rational table is asked for.
     """
-    n = complex_.vertex_count
     by_dim = complex_.faces_by_dim()
-    max_masks = complex_._max_masks
-    out: dict[tuple[int, int], int] = {(0, -1): 1}
-    for jmask in range(1, 1 << n):
-        if _has_cone_vertex(max_masks, jmask):
+    inside = _non_faces_inside(
+        complex_.vertex_count, [complex_._mask(nf) for nf in complex_.minimal_non_faces()]
+    )
+    upper = []
+    for d in range(1, len(by_dim)):
+        index = {m: i for i, m in enumerate(by_dim[d - 1])}
+        upper.append([(f, _boundary_row(f, index)) for f in by_dim[d]])
+    gf2: dict[tuple[int, int], int] = {(0, -1): 1}
+    rational = dict(gf2)
+    uncertified = []
+    for jmask in range(1, len(inside)):
+        if inside[jmask] != jmask:
             continue
         notj = ~jmask
-        sub = []
-        for lst in by_dim:
-            cur = [m for m in lst if m & notj == 0]
-            sub.append(cur)
-        size = bin(jmask).count("1")
-        for d, b in _reduced_from_masks(sub, field).items():
+        size = jmask.bit_count()
+        # the augmentation of a nonempty J has rank 1
+        betti = [size - 1]
+        for faces in upper:
+            rows = [row for f, row in faces if not f & notj]
+            if not rows:
+                break
+            rank = gf2_rank(rows)
+            betti[-1] -= rank
+            betti.append(len(rows) - rank)
+        certified = not (any(betti[::2]) and any(betti[1::2]))
+        if not certified:
+            uncertified.append(jmask)
+        for d, b in enumerate(betti):
             if b:
                 key = (size, d)
-                out[key] = out.get(key, 0) + b
-    return out
+                gf2[key] = gf2.get(key, 0) + b
+                if certified:
+                    rational[key] = rational.get(key, 0) + b
+    return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
+
+
+def _sweep_table(
+    complex_: SimplicialComplex, field: Field, cap: int
+) -> dict[tuple[int, int], int]:
+    """The subset-sweep table of `complex_` over `field`, refused past the cap.
+
+    Tables are cached on the complex, so they go when the complex does, and
+    are sorted by key, so their order does not depend on the sweep's.
+    """
+    if complex_.vertex_count > cap:
+        raise CapExceededError(
+            f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
+        )
+    if complex_._sweep_tables is None:
+        complex_._sweep_tables = _subset_sweep(complex_)
+    gf2, rational, uncertified = complex_._sweep_tables
+    if field is Field.GF2:
+        return gf2
+    if uncertified:
+        # a fresh table, swapped in whole, so concurrent callers never add twice
+        rational = dict(rational)
+        by_dim = complex_.faces_by_dim()
+        for jmask in uncertified:
+            notj = ~jmask
+            sub = [[f for f in lst if not f & notj] for lst in by_dim]
+            for d, b in _reduced_from_masks(sub, Field.RATIONAL).items():
+                if b:
+                    key = (jmask.bit_count(), d)
+                    rational[key] = rational.get(key, 0) + b
+        rational = dict(sorted(rational.items()))
+        complex_._sweep_tables = (gf2, rational, ())
+    return rational
 
 
 def hochster_total_rank(
@@ -185,11 +290,7 @@ def hochster_total_rank(
 ) -> int:
     """Sum over all vertex subsets J of the total reduced Betti number of
     the restriction to J; the empty subset contributes exactly 1."""
-    if complex_.vertex_count > cap:
-        raise CapExceededError(
-            f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
-        )
-    return sum(_subset_sweep(complex_, field).values())
+    return sum(_sweep_table(complex_, field, cap).values())
 
 
 def hochster_rank_criterion(
@@ -215,20 +316,15 @@ def hochster_rank_via_double(
         raise CapExceededError(
             f"double needs a sweep over {2 * complex_.vertex_count} vertices, cap is {cap}"
         )
-    doubled = double(complex_)
-    return sum(_subset_sweep(doubled, field).values())
+    return sum(_sweep_table(double(complex_), field, cap).values())
 
 
 def bigraded_betti(
     complex_: SimplicialComplex, field: Field, cap: int = DEFAULT_CAP
 ) -> BigradedBettiTable:
     """Subset-size-graded rank table; its grand total equals the Hochster total."""
-    if complex_.vertex_count > cap:
-        raise CapExceededError(
-            f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
-        )
     entries: dict[tuple[int, int], int] = {}
-    for (size, degree), b in _subset_sweep(complex_, field).items():
+    for (size, degree), b in _sweep_table(complex_, field, cap).items():
         key = (size - degree - 1, 2 * size)
         entries[key] = entries.get(key, 0) + b
     return BigradedBettiTable(entries=entries, field=field)
@@ -239,12 +335,8 @@ def hochster_graded_ranks(
 ) -> dict[int, int]:
     """Cohomology ranks of the glued space, by degree, from the subset sweep:
     degree p collects the reduced degree p-1 ranks over all subsets."""
-    if complex_.vertex_count > cap:
-        raise CapExceededError(
-            f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
-        )
     out: dict[int, int] = {}
-    for (_size, degree), b in _subset_sweep(complex_, field).items():
+    for (_size, degree), b in _sweep_table(complex_, field, cap).items():
         out[degree + 1] = out.get(degree + 1, 0) + b
     return out
 

@@ -117,3 +117,15 @@ def minimal_transversals_oracle(vertex_count, edges):
         if hits(t) and not any(hits(t & ~(1 << v)) for v in subset):
             out.add(t)
     return out
+
+
+def has_cone_apex_oracle(maximal_faces, subset):
+    """True when some vertex of `subset` lies in every maximal face of the
+    full subcomplex on `subset` (the restriction is a cone)."""
+    j = frozenset(subset)
+    restricted = {frozenset(f) & j for f in maximal_faces}
+    maximal = [f for f in restricted if not any(f < g for g in restricted)]
+    common = set(j)
+    for f in maximal:
+        common &= f
+    return bool(common)

@@ -60,6 +60,14 @@ class TestRecognize:
         names = [c["criterion"] for c in json.loads(out)["criteria"]]
         assert "HochsterGF2" in names and "HochsterQ" in names
 
+    def test_non_integer_m_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bool_m.json"
+        path.write_text('{"m": true, "maximal_faces": [[0]]}')
+        code, out, err = run(capsys, "recognize", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and '"m"' in err
+
     def test_disagreement_exit_code(self, capsys, tmp_path):
         # a full simplex is not dual to any simple polytope: the rank count
         # comes out right (total 1 = 2^0) while the partition test fails

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from spherejoin import (
     IndexOutOfRangeError,
     InvalidDimensionError,
+    InvalidParameterError,
     NotAFaceError,
     NotMaximalError,
     SimplicialComplex,
@@ -53,6 +54,12 @@ class TestBuild:
             build_complex([[True, 0], [1, 2], [0, 2]], 3)
         data = json.loads('{"m": 3, "maximal_faces": [[true, 0], [1, 2], [0, 2]]}')
         with pytest.raises(IndexOutOfRangeError):
+            SimplicialComplex.from_json_dict(data)
+
+    @pytest.mark.parametrize("m", ["true", "1.7", '"1"', "null", "3.0"])
+    def test_json_m_must_be_integer(self, m):
+        data = json.loads(f'{{"m": {m}, "maximal_faces": [[0]]}}')
+        with pytest.raises(InvalidParameterError):
             SimplicialComplex.from_json_dict(data)
 
     def test_huge_uncovered_vertex_count(self):

@@ -1,4 +1,9 @@
+import gc
+import weakref
+from itertools import chain, combinations
+
 import pytest
+from hypothesis import given, settings
 
 from spherejoin import (
     CapExceededError,
@@ -19,10 +24,41 @@ from spherejoin import (
     simplex_boundary_on,
 )
 
-from conftest import cycle
-from oracle import hochster_total_oracle, reduced_betti_oracle
+from spherejoin import homology
+
+from conftest import complexes, cycle
+from oracle import has_cone_apex_oracle, hochster_total_oracle, reduced_betti_oracle
 
 BOTH = (Field.GF2, Field.RATIONAL)
+
+
+def projective_plane():
+    return build_complex(
+        [
+            {0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 1, 5},
+            {1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {1, 3, 5}, {1, 3, 4},
+        ],
+        6,
+    )
+
+
+def brute_force_tables(k):
+    """(|J|, degree) tables from every full subcomplex, with no cone skip and
+    no GF(2)-to-Q shortcut: each restriction is ranked over both fields."""
+    tables = {Field.GF2: {}, Field.RATIONAL: {}}
+    verts = k.vertices
+    for j in chain.from_iterable(combinations(verts, r) for r in range(len(verts) + 1)):
+        faces = k.full_subcomplex(j).maximal_faces
+        for field, tag in ((Field.GF2, "gf2"), (Field.RATIONAL, "q")):
+            for d, b in reduced_betti_oracle(faces, tag).items():
+                if b:
+                    table = tables[field]
+                    table[(len(j), d)] = table.get((len(j), d), 0) + b
+    return tables
+
+
+def sweep_tables(k):
+    return {field: homology._sweep_table(k, field, k.vertex_count) for field in BOTH}
 
 
 class TestReducedBetti:
@@ -62,13 +98,7 @@ class TestReducedBetti:
     def test_projective_plane_torsion_separates_fields(self):
         # 6-vertex projective plane: rank 1 in degrees 1 and 2 over GF(2),
         # rank 0 over the rationals; the two fields must not be conflated
-        rp2 = build_complex(
-            [
-                {0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 1, 5},
-                {1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {1, 3, 5}, {1, 3, 4},
-            ],
-            6,
-        )
+        rp2 = projective_plane()
         assert reduced_betti(rp2, Field.GF2).reduced == {-1: 0, 0: 0, 1: 1, 2: 1}
         assert reduced_betti(rp2, Field.RATIONAL).reduced == {-1: 0, 0: 0, 1: 0, 2: 0}
         for tag, field in (("gf2", Field.GF2), ("q", Field.RATIONAL)):
@@ -118,6 +148,88 @@ class TestHochsterTotal:
     def test_kgon_table(self):
         totals = [hochster_total_rank(cycle(k), Field.GF2) for k in range(3, 9)]
         assert totals == [2, 4, 12, 36, 100, 260]
+
+
+class TestSubsetSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_vertices=5))
+    def test_tables_match_brute_force(self, k):
+        tables = sweep_tables(k)
+        assert tables == brute_force_tables(k)
+        for table in tables.values():
+            assert list(table) == sorted(table)
+
+    @staticmethod
+    def check_cone_bit_test(k):
+        inside = homology._non_faces_inside(
+            k.vertex_count, [k._mask(nf) for nf in k.minimal_non_faces()]
+        )
+        assert inside.itemsize * 8 >= k.vertex_count
+        for jmask in range(1, 1 << k.vertex_count):
+            j = k._unmask(jmask)
+            assert (inside[jmask] != jmask) == has_cone_apex_oracle(k.maximal_faces, j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes())
+    def test_cone_bit_test_matches_maximal_faces(self, k):
+        self.check_cone_bit_test(k)
+
+    def test_cone_bit_test_wide_table(self):
+        # 10 vertices need two bytes per table entry
+        self.check_cone_bit_test(cycle(10))
+
+    def test_mixed_parity_restriction_falls_back(self, monkeypatch):
+        # RP^2 restricted to all six vertices has GF(2) homology in degrees
+        # 1 and 2, so the parity certificate must refuse and elimination
+        # over Q must decide that restriction
+        rp2 = projective_plane()
+        fallback = []
+        original = homology._reduced_from_masks
+
+        def spy(by_dim, field):
+            fallback.append((by_dim[0], field))
+            return original(by_dim, field)
+
+        monkeypatch.setattr(homology, "_reduced_from_masks", spy)
+        gf2 = homology._sweep_table(rp2, Field.GF2, 6)
+        assert fallback == []  # GF(2) alone never needs elimination over Q
+        rational = homology._sweep_table(rp2, Field.RATIONAL, 6)
+        assert ([1 << i for i in range(6)], Field.RATIONAL) in fallback
+        assert all(field is Field.RATIONAL for _, field in fallback)
+        assert gf2[(6, 1)] == 1 + rational.get((6, 1), 0)
+        assert gf2[(6, 2)] == 1
+        assert (6, 2) not in rational
+        assert sweep_tables(rp2) == brute_force_tables(rp2)
+
+    def test_one_sweep_serves_both_fields(self, monkeypatch, pentagon):
+        calls = []
+        original = homology._subset_sweep
+        monkeypatch.setattr(
+            homology, "_subset_sweep", lambda k: calls.append(k) or original(k)
+        )
+        for field in BOTH:
+            hochster_total_rank(pentagon, field)
+            bigraded_betti(pentagon, field)
+            hochster_graded_ranks(pentagon, field)
+            hochster_rank_criterion(pentagon, field)
+        assert calls == [pentagon]
+
+    @pytest.mark.parametrize("field", BOTH)
+    def test_swept_complex_is_released(self, field):
+        # a complex no other test sweeps: a cache keyed by an equal complex
+        # swept earlier would otherwise hide a cache that keeps its keys
+        k = build_complex([{0, 1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}], 6)
+        hochster_total_rank(k, field)
+        ref = weakref.ref(k)
+        del k
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("sweep", [hochster_total_rank, bigraded_betti, hochster_graded_ranks])
+    def test_cap_message(self, sweep, square):
+        with pytest.raises(CapExceededError) as info:
+            sweep(square, Field.RATIONAL, cap=3)
+        assert str(info.value) == "subset sweep over 4 vertices exceeds cap 3"
 
 
 class TestRankCriterion:
