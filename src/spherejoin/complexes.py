@@ -311,15 +311,22 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        m = data["m"]
-        # JSON true and 1.7 would pass int(); only a JSON integer is a count
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise InvalidParameterError(f'"m" must be an integer, got {m!r}')
         labels = data.get("labels")
-        return build_complex(data["maximal_faces"], m, labels=labels)
+        return build_complex(data["maximal_faces"], json_integer(data, "m"), labels=labels)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def json_integer(data: dict, key: str) -> int:
+    """The JSON integer stored under `key`.
+
+    JSON true and 1.7 would pass int(); only a JSON integer is a count.
+    """
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParameterError(f'"{key}" must be an integer, got {value!r}')
+    return value
 
 
 # -- constructors -------------------------------------------------------------

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, json_integer
 from .errors import (
     InfeasibleVertexError,
     InvalidParameterError,
@@ -67,8 +67,8 @@ class VertexFacetIncidence:
     @classmethod
     def from_json_dict(cls, data: dict) -> "VertexFacetIncidence":
         return cls(
-            dim=int(data["n"]),
-            facet_count=int(data["facets"]),
+            dim=json_integer(data, "n"),
+            facet_count=json_integer(data, "facets"),
             vertex_facets=tuple(frozenset(s) for s in data["vertex_facets"]),
         )
 
@@ -360,7 +360,7 @@ def polytope_to_json_dict(hrep: PolytopeHRep, vrep: PolytopeVRep) -> dict:
 
 
 def polytope_from_json_dict(data: dict) -> tuple[PolytopeHRep, PolytopeVRep]:
-    dim = int(data["dim"])
+    dim = json_integer(data, "dim")
     ineqs = tuple(
         (
             tuple(_fraction_from_str(x) for x in row["normal"]),

@@ -32,6 +32,17 @@ The tables are cached on the complex itself, so every public function and
 both fields share one sweep, and a long-running process holds no table of
 a complex it has dropped.
 
+The rank criterion bounds its sweep.  Every term of the total is a
+nonnegative rank, so once a running total passes 2^(m - dim K - 1) the
+answer is no, and the pass stops there.  Each term is exact for its
+restriction over the requested field: over Q, a restriction the parity
+argument leaves open is eliminated when the pass reaches it, never read
+off the GF(2) ranks, which torsion can only make larger.  A bounded total
+is therefore exact up to the bound and only a lower bound past it; a pass
+that stops caches nothing, so the cached tables are always complete.
+Totals reported to the user (`hrk`, `betti`, `crosscheck`) are never
+bounded.
+
 All arithmetic is exact: GF(2) uses bitset elimination, rational ranks use
 fraction-free integer elimination.  Sweeps are pure functions of immutable
 inputs, so results do not depend on evaluation order.
@@ -186,8 +197,32 @@ def _non_faces_inside(n: int, non_faces: list[int]) -> array:
     return out
 
 
+class _BoundPassed(Exception):
+    """A bounded pass stopped: its running total passed the bound."""
+
+    def __init__(self, total: int) -> None:
+        super().__init__(total)
+        self.total = total
+
+
+def _add_ranks(table: dict[tuple[int, int], int], size: int, ranks) -> None:
+    """Add (degree, rank) pairs of one restriction to a (|J|, degree) table."""
+    for d, b in ranks:
+        if b:
+            key = (size, d)
+            table[key] = table.get(key, 0) + b
+
+
+def _rational_ranks(by_dim: list[list[int]], jmask: int) -> dict[int, int]:
+    """Rational reduced Betti numbers of the restriction to `jmask`, by
+    fraction-free elimination."""
+    notj = ~jmask
+    sub = [[f for f in lst if not f & notj] for lst in by_dim]
+    return _reduced_from_masks(sub, Field.RATIONAL)
+
+
 def _subset_sweep(
-    complex_: SimplicialComplex,
+    complex_: SimplicialComplex, field: Field = Field.GF2, stop_above: int | None = None
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], tuple[int, ...]]:
     """Reduced Betti ranks of every full subcomplex K_J, keyed by (|J|, degree),
     from one pass over the subsets J: the GF(2) table, the rational table
@@ -214,6 +249,12 @@ def _subset_sweep(
     equal.  Restrictions with GF(2) homology in degrees of both parities
     stay open; `_sweep_table` ranks them over Q, by fraction-free
     elimination, only when the rational table is asked for.
+
+    With `stop_above`, the pass keeps a running total over `field` and
+    raises `_BoundPassed` as soon as it exceeds the bound.  Over Q the open
+    restrictions are then ranked by elimination as the pass reaches them,
+    so every term of the total is exact and a pass that ends returns no
+    open subsets.
     """
     by_dim = complex_.faces_by_dim()
     inside = _non_faces_inside(
@@ -226,6 +267,8 @@ def _subset_sweep(
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
     rational = dict(gf2)
     uncertified = []
+    eager = stop_above is not None and field is Field.RATIONAL
+    total = 1
     for jmask in range(1, len(inside)):
         if inside[jmask] != jmask:
             continue
@@ -241,31 +284,48 @@ def _subset_sweep(
             betti[-1] -= rank
             betti.append(len(rows) - rank)
         certified = not (any(betti[::2]) and any(betti[1::2]))
-        if not certified:
-            uncertified.append(jmask)
         for d, b in enumerate(betti):
             if b:
                 key = (size, d)
                 gf2[key] = gf2.get(key, 0) + b
                 if certified:
                     rational[key] = rational.get(key, 0) + b
+        ranks = betti
+        if not certified:
+            if eager:
+                exact = _rational_ranks(by_dim, jmask)
+                _add_ranks(rational, size, exact.items())
+                ranks = exact.values()
+            else:
+                uncertified.append(jmask)
+        if stop_above is not None:
+            total += sum(ranks)
+            if total > stop_above:
+                raise _BoundPassed(total)
     return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
 
 
 def _sweep_table(
-    complex_: SimplicialComplex, field: Field, cap: int
+    complex_: SimplicialComplex, field: Field, cap: int, stop_above: int | None = None
 ) -> dict[tuple[int, int], int]:
     """The subset-sweep table of `complex_` over `field`, refused past the cap.
 
     Tables are cached on the complex, so they go when the complex does, and
-    are sorted by key, so their order does not depend on the sweep's.
+    are sorted by key, so their order does not depend on the sweep's.  With
+    `stop_above`, a complex without tables is swept by a bounded pass; one
+    that stops raises `_BoundPassed` and caches nothing, so the cache only
+    ever holds complete tables.
     """
     if complex_.vertex_count > cap:
         raise CapExceededError(
             f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
         )
     if complex_._sweep_tables is None:
-        complex_._sweep_tables = _subset_sweep(complex_)
+        complex_._sweep_tables = (
+            _subset_sweep(complex_)
+            if stop_above is None
+            else _subset_sweep(complex_, field, stop_above)
+        )
     gf2, rational, uncertified = complex_._sweep_tables
     if field is Field.GF2:
         return gf2
@@ -274,31 +334,46 @@ def _sweep_table(
         rational = dict(rational)
         by_dim = complex_.faces_by_dim()
         for jmask in uncertified:
-            notj = ~jmask
-            sub = [[f for f in lst if not f & notj] for lst in by_dim]
-            for d, b in _reduced_from_masks(sub, Field.RATIONAL).items():
-                if b:
-                    key = (jmask.bit_count(), d)
-                    rational[key] = rational.get(key, 0) + b
+            _add_ranks(rational, jmask.bit_count(), _rational_ranks(by_dim, jmask).items())
         rational = dict(sorted(rational.items()))
         complex_._sweep_tables = (gf2, rational, ())
     return rational
 
 
 def hochster_total_rank(
-    complex_: SimplicialComplex, field: Field, cap: int = DEFAULT_CAP
+    complex_: SimplicialComplex,
+    field: Field,
+    cap: int = DEFAULT_CAP,
+    *,
+    stop_above: int | None = None,
 ) -> int:
     """Sum over all vertex subsets J of the total reduced Betti number of
-    the restriction to J; the empty subset contributes exactly 1."""
-    return sum(_sweep_table(complex_, field, cap).values())
+    the restriction to J; the empty subset contributes exactly 1.
+
+    With `stop_above`, a complex not yet swept is swept until the running
+    total exceeds that bound.  Every term is nonnegative and exact for its
+    restriction over `field` (over Q, restrictions the parity certificate
+    leaves open are eliminated as the pass reaches them), so a result at
+    most `stop_above` is the exact total, and a larger one is only a lower
+    bound on it.  A pass that stops early caches nothing.
+    """
+    try:
+        return sum(_sweep_table(complex_, field, cap, stop_above).values())
+    except _BoundPassed as passed:
+        return passed.total
 
 
 def hochster_rank_criterion(
     complex_: SimplicialComplex, field: Field, cap: int = DEFAULT_CAP
 ) -> bool:
-    """True iff the total subset-sweep rank equals 2^(m - dim - 1)."""
+    """True iff the total subset-sweep rank equals 2^(m - dim - 1).
+
+    The total is bounded by that value: once the running total passes it
+    the answer is False, so a negative is usually decided after a fraction
+    of the subsets, while a positive sweeps them all and caches the tables.
+    """
     expected = 1 << (complex_.vertex_count - complex_.dim - 1)
-    return hochster_total_rank(complex_, field, cap) == expected
+    return hochster_total_rank(complex_, field, cap, stop_above=expected) == expected
 
 
 def hochster_rank_via_double(

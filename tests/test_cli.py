@@ -68,6 +68,18 @@ class TestRecognize:
         assert out == ""
         assert err.startswith("error:") and '"m"' in err
 
+    def test_non_integer_incidence_counts_rejected(self, capsys, tmp_path):
+        prefix = str(tmp_path / "sq")
+        run(capsys, "gen", "product:1,1", "--json", prefix)
+        path = tmp_path / "sq.incidence.json"
+        data = json.loads(path.read_text())
+        data["n"], data["facets"] = True, 4.0
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "recognize", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and '"n"' in err
+
     def test_disagreement_exit_code(self, capsys, tmp_path):
         # a full simplex is not dual to any simple polytope: the rank count
         # comes out right (total 1 = 2^0) while the partition test fails

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from spherejoin import (
     PolytopeHRep,
     PolytopeVRep,
     RedundantInequalityError,
+    VertexFacetIncidence,
     boundary_of_simplex,
     check_simple,
     dihedral_nonobtuse_check,
@@ -253,3 +255,25 @@ class TestPolytopeJson:
         assert data["inequalities"][0]["normal"] == ["1/3"]
         assert data["inequalities"][0]["offset"] == "-2/5"
         assert data["vertices"] == [["7"]]
+
+    @pytest.mark.parametrize("value", ["true", "2.9", '"2"', "null", "2.0"])
+    def test_dim_must_be_integer(self, value):
+        data = polytope_to_json_dict(*gen_polygon(4))
+        data["dim"] = json.loads(value)
+        with pytest.raises(InvalidParameterError):
+            polytope_from_json_dict(data)
+
+
+class TestIncidenceJson:
+    def test_round_trip(self):
+        data = incidence_from_hv(*gen_polygon(5)).to_json_dict()
+        assert VertexFacetIncidence.from_json_dict(data).to_json_dict() == data
+
+    @pytest.mark.parametrize("key", ["n", "facets"])
+    @pytest.mark.parametrize("value", ["true", "2.9", '"2"', "null", "2.0"])
+    def test_counts_must_be_integers(self, key, value):
+        data = incidence_from_hv(*gen_polygon(4)).to_json_dict()
+        data[key] = json.loads(value)
+        with pytest.raises(InvalidParameterError) as info:
+            VertexFacetIncidence.from_json_dict(data)
+        assert str(info.value).startswith(f'"{key}" must be an integer')

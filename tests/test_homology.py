@@ -4,6 +4,7 @@ from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherejoin import (
     CapExceededError,
@@ -243,6 +244,83 @@ class TestRankCriterion:
         k = boundary_of_simplex(2).join(simplex_boundary_on([3, 4]))
         assert hochster_rank_criterion(k, Field.GF2)
         assert hochster_total_rank(k, Field.GF2) == 4
+
+
+class TestBoundedTotal:
+    """`stop_above`: exact up to the bound, a lower bound past it, and a
+    pass that stops caches nothing."""
+
+    @staticmethod
+    def check_bound(k, field, bound):
+        def fresh():
+            return SimplicialComplex(k.maximal_faces, vertices=k.vertices)
+
+        exact = hochster_total_rank(fresh(), field)
+        bounded = fresh()
+        got = hochster_total_rank(bounded, field, stop_above=bound)
+        if exact <= bound:
+            assert got == exact
+        else:
+            assert bound < got <= exact
+        # a pass that stopped cached nothing, one that ended complete tables
+        if bounded._sweep_tables is None:
+            assert exact > bound
+        else:
+            assert sweep_tables(bounded) == sweep_tables(fresh())
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(), st.data())
+    def test_exact_up_to_bound(self, k, data):
+        for field in BOTH:
+            exact = hochster_total_rank(k, field)
+            bound = data.draw(st.integers(min_value=0, max_value=exact + 1))
+            self.check_bound(k, field, bound)
+
+    @pytest.mark.parametrize("field, exact", [(Field.GF2, 34), (Field.RATIONAL, 32)])
+    def test_projective_plane_every_bound(self, field, exact):
+        # the GF(2) total exceeds the rational one by the torsion of RP^2, so
+        # a rational pass must not read its total off the GF(2) ranks
+        rp2 = projective_plane()
+        assert hochster_total_rank(rp2, field) == exact
+        for bound in range(exact + 2):
+            self.check_bound(rp2, field, bound)
+
+    @pytest.mark.parametrize("field", BOTH)
+    def test_negative_criterion_caches_nothing(self, field):
+        for k in (cycle(7), projective_plane()):
+            exact = hochster_total_oracle(k.vertices, k.maximal_faces, field.value)
+            assert not hochster_rank_criterion(k, field)
+            assert k._sweep_tables is None
+            assert hochster_total_rank(k, field) == exact
+            assert k._sweep_tables is not None
+
+    def test_negative_criterion_ranks_fewer_subsets(self, monkeypatch):
+        ranked = []
+        original = homology.gf2_rank
+        monkeypatch.setattr(
+            homology, "gf2_rank", lambda rows: ranked.append(rows) or original(rows)
+        )
+        k = cycle(13)
+        assert not hochster_rank_criterion(k, Field.GF2)
+        bounded = len(ranked)
+        assert hochster_total_rank(k, Field.GF2) == 18436
+        assert 0 < bounded < (len(ranked) - bounded) // 4
+
+    @pytest.mark.parametrize("field", BOTH)
+    def test_positive_criterion_sweeps_once(self, monkeypatch, field):
+        k = boundary_of_simplex(2).join(simplex_boundary_on([3, 4]))
+        k = k.join(simplex_boundary_on([5, 6]))
+        calls = []
+        original = homology._subset_sweep
+        monkeypatch.setattr(
+            homology, "_subset_sweep", lambda *args: calls.append(args[0]) or original(*args)
+        )
+        assert hochster_rank_criterion(k, field)
+        assert calls == [k]
+        for other in BOTH:
+            assert hochster_total_rank(k, other) == 1 << (k.vertex_count - k.dim - 1)
+            assert hochster_rank_criterion(k, other)
+        assert calls == [k]
 
 
 class TestViaDouble:
