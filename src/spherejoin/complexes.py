@@ -32,12 +32,20 @@ Face = frozenset[int]
 
 
 def _canonical_faces(faces: set[Face]) -> tuple[Face, ...]:
-    """Drop dominated faces and sort lexicographically by sorted vertex tuple."""
-    by_size = sorted(faces, key=len, reverse=True)
+    """Drop dominated faces and sort lexicographically by sorted vertex tuple.
+
+    Only a strictly larger face can contain another, so faces are taken one
+    size level at a time, largest first, and each is compared only with the
+    faces kept from larger levels.  A pure list (links, joins, relabellings,
+    doubles) therefore does no subset test at all.
+    """
+    levels: dict[int, list[Face]] = {}
+    for f in faces:
+        levels.setdefault(len(f), []).append(f)
     kept: list[Face] = []
-    for f in by_size:
-        if not any(f < g for g in kept):
-            kept.append(f)
+    for size in sorted(levels, reverse=True):
+        larger = tuple(kept)
+        kept.extend(f for f in levels[size] if not any(f < g for g in larger))
     return tuple(sorted(kept, key=lambda f: tuple(sorted(f))))
 
 
@@ -490,21 +498,24 @@ def is_pseudomanifold(complex_: SimplicialComplex) -> PseudomanifoldReport:
     """Purity, the exactly-two-cofacet ridge condition, and strong connectivity.
 
     Strong connectivity is union-find over top-dimensional faces sharing a
-    ridge.  Dimension must be at least 1.
+    ridge.  Dimension must be at least 1.  No face is enumerated: a face
+    with n vertices either lies in a top face, and is that face minus one
+    vertex, or is itself maximal, so the ridges are the top faces minus one
+    vertex plus the maximal faces with n vertices.
     """
     n = complex_.dim
     if n < 1:
         raise InvalidDimensionError(f"pseudomanifold test needs dim >= 1, got {n}")
     pure = all(len(f) == n + 1 for f in complex_.maximal_faces)
-    by_dim = complex_.faces_by_dim()
-    tops = by_dim[n]
-    ridges = by_dim[n - 1]
-    cofacets: dict[int, list[int]] = {r: [] for r in ridges}
+    masks = complex_._max_masks
+    tops = [fm for fm in masks if fm.bit_count() == n + 1]
+    # a maximal ridge lies in no top face, so it keeps no cofacet
+    cofacets: dict[int, list[int]] = {fm: [] for fm in masks if fm.bit_count() == n}
     for ti, t in enumerate(tops):
         b = t
         while b:
             low = b & -b
-            cofacets[t & ~low].append(ti)
+            cofacets.setdefault(t & ~low, []).append(ti)
             b &= ~low
     violations = sorted(
         (r for r, c in cofacets.items() if len(c) != 2),

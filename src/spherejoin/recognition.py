@@ -14,9 +14,12 @@ mislabel a non-polytopal input.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import (
+    Face,
     SimplicialComplex,
     cycle_length,
     double,
@@ -122,9 +125,16 @@ def check_simplex_link(complex_: SimplicialComplex) -> RecognitionReport:
     vertex of the maximal simplex, the part of that complementary simplex
     lying in the vertex's link must itself be a face (possibly empty).
     A restriction counts as a simplex only when its full vertex set is a
-    face; an edgeless pair of points does not qualify.
+    face; an edgeless pair of points does not qualify.  The edge {v, w} is
+    a face iff some maximal face holds both, so the vertices of the
+    complementary simplex joined to v are read off v's neighbour mask, the
+    union of the maximal faces through v.
     """
     vs = set(complex_.vertices)
+    neighbours = {v: 0 for v in complex_.vertices}
+    for f, fm in zip(complex_.maximal_faces, complex_._max_masks):
+        for v in f:
+            neighbours[v] |= fm
     for sigma in complex_.maximal_faces:
         comp = frozenset(vs - sigma)
         if comp not in complex_:
@@ -137,8 +147,9 @@ def check_simplex_link(complex_: SimplicialComplex) -> RecognitionReport:
                     "complement": sorted(comp),
                 },
             )
+        comp_mask = complex_._mask(comp)
         for v in sorted(sigma):
-            support = frozenset(w for w in comp if frozenset({v, w}) in complex_)
+            support = complex_._unmask(neighbours[v] & comp_mask)
             if support | {v} not in complex_:
                 return RecognitionReport(
                     "SimplexLink",
@@ -178,34 +189,46 @@ def check_two_face(complex_: SimplicialComplex) -> RecognitionReport:
 
     At dimension 1 the complex itself plays that role (the codimension-2
     face is the empty simplex).  The input must be a pure pseudomanifold.
+
+    Above dimension 1 no link is built where the answer is already fixed.
+    Each vertex of link(eta) spans, with eta, a ridge lying in exactly two
+    top faces, so the link is a 2-regular graph whose c edges are the top
+    faces containing eta; for c = 3 or 4 it is a single 3- or 4-cycle.  The
+    cofaces are counted in one pass over the top faces, and only the first
+    eta in canonical order with another count has its link built.
     """
     _require_pure_pseudomanifold(complex_)
     n = complex_.dim
     if n == 0:
         return RecognitionReport("TwoFace", True)
-    if n == 1:
-        etas = [frozenset()]
-    else:
-        etas = complex_.faces(n - 2)
-    for eta in etas:
-        link = complex_.link(eta) if eta else complex_
-        length = cycle_length(link)
-        if length is None:
-            return RecognitionReport(
-                "TwoFace",
-                False,
-                {"kind": "codim2_link_not_cycle", "eta": sorted(eta)},
-            )
-        if length > 4:
-            return RecognitionReport(
-                "TwoFace",
-                False,
-                {
-                    "kind": "long_codim2_link",
-                    "eta": sorted(eta),
-                    "cycle_length": length,
-                },
-            )
+    eta: Face = frozenset()
+    if n > 1:
+        cofaces = Counter(
+            t ^ a ^ b
+            for t in complex_._max_masks
+            for a, b in combinations([1 << i for i in range(t.bit_length()) if t >> i & 1], 2)
+        )
+        bad = [e for e, c in cofaces.items() if c not in (3, 4)]
+        if not bad:
+            return RecognitionReport("TwoFace", True)
+        eta = min((complex_._unmask(e) for e in bad), key=lambda f: tuple(sorted(f)))
+    length = cycle_length(complex_.link(eta) if eta else complex_)
+    if length is None:
+        return RecognitionReport(
+            "TwoFace",
+            False,
+            {"kind": "codim2_link_not_cycle", "eta": sorted(eta)},
+        )
+    if length > 4:
+        return RecognitionReport(
+            "TwoFace",
+            False,
+            {
+                "kind": "long_codim2_link",
+                "eta": sorted(eta),
+                "cycle_length": length,
+            },
+        )
     return RecognitionReport("TwoFace", True)
 
 
@@ -214,15 +237,21 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
     themselves recognized, grounded at the 3- and 4-cycles in dimension 1.
 
     Dimension 0 is grounded at the two-point complex (the boundary of an
-    edge), so duals of 1-dimensional polytopes recurse correctly.  Repeated
-    links are memoized by exact face-set equality.
+    edge), so duals of 1-dimensional polytopes recurse correctly.
+
+    Recognized links are memoized up to order-preserving relabelling: the
+    key is the vertex count with the maximal-face masks, which are taken
+    relative to the link's own sorted vertices, and the verdict does not
+    depend on vertex names.  Only successes are stored; a failure goes
+    straight up to the root, so every witness path is the one first found.
     """
-    memo: dict[SimplicialComplex, dict | None] = {}
+    recognized: set[tuple[int, frozenset[int]]] = set()
 
     def run(k: SimplicialComplex, path: tuple[int, ...]) -> dict | None:
         # returns None on success, a witness dict on failure
-        if k in memo:
-            return memo[k]
+        key = (k.vertex_count, frozenset(k._max_masks))
+        if key in recognized:
+            return None
         n = k.dim
         if n < 0:
             raise InvalidDimensionError("recursive recognition needs dim >= 0")
@@ -271,7 +300,8 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
                     w = run(link, path + (v,))
                     if w is not None:
                         break
-        memo[k] = w
+        if w is None:
+            recognized.add(key)
         return w
 
     witness = run(complex_, ())

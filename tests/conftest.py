@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spherejoin import SimplicialComplex, build_complex, simplex_boundary_on
+from spherejoin import SimplicialComplex, boundary_of_simplex, build_complex, simplex_boundary_on
 from spherejoin.catalog import build_catalog
 
 
@@ -25,10 +25,26 @@ def pentagon():
     return build_complex([{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}], 5)
 
 
-@pytest.fixture
-def octahedron():
+def octahedron_on_pairs():
     k = simplex_boundary_on([0, 1]).join(simplex_boundary_on([2, 3]))
     return k.join(simplex_boundary_on([4, 5]))
+
+
+@pytest.fixture
+def octahedron():
+    return octahedron_on_pairs()
+
+
+def pinched_octahedron():
+    """The octahedron with the opposite triangles {0,2,4} and {1,3,5}
+    stellar-subdivided and the two new vertices identified, as vertex 0.
+
+    A strongly connected pseudomanifold, not a sphere: the link of vertex 0
+    is two disjoint triangles.
+    """
+    k = octahedron_on_pairs().stellar_subdivide({0, 2, 4}).stellar_subdivide({1, 3, 5})
+    rename = {6: 0, 7: 0, **{v: v + 1 for v in range(6)}}
+    return SimplicialComplex([{rename[v] for v in f} for f in k.maximal_faces])
 
 
 def cycle(k):
@@ -45,3 +61,31 @@ def complexes(draw, max_vertices=6):
     ]
     faces.extend({v} for v in range(m))  # cover every vertex
     return SimplicialComplex(faces, vertices=range(m))
+
+
+@st.composite
+def subdivided_boundaries(draw, max_vertices):
+    """The boundary of a simplex after a few stellar subdivisions of facets."""
+    k = boundary_of_simplex(draw(st.integers(min_value=1, max_value=min(4, max_vertices - 1))))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if k.dim < 1 or k.vertex_count >= max_vertices:
+            break
+        k = k.stellar_subdivide(draw(st.sampled_from(k.maximal_faces)))
+    return k
+
+
+@st.composite
+def spheres(draw, max_vertices=8):
+    """Pseudomanifolds near the criteria's positives: subdivided simplex
+    boundaries, their joins and the pinched octahedron, randomly relabelled."""
+    kind = draw(st.sampled_from(["subdivided", "join", "pinch"]))
+    if kind == "pinch":
+        k = pinched_octahedron()
+    else:
+        k = draw(subdivided_boundaries(max_vertices))
+        room = max_vertices - k.vertex_count
+        if kind == "join" and room >= 2:
+            other = draw(subdivided_boundaries(room))
+            k = k.join(other.relabel({v: v + k.vertex_count for v in other.vertices}))
+    perm = draw(st.permutations(list(k.vertices)))
+    return k.relabel(dict(zip(k.vertices, perm)))

@@ -3,11 +3,23 @@
 Deliberately separate from the library implementation: face enumeration by
 powerset, boundary matrices via sympy over the rationals, GF(2) ranks by a
 plain list-of-rows elimination.  Only usable at small sizes.
+
+The criterion references at the end are plain versions of the library's
+criteria: every face enumerated, every link built, every edge found by a
+facet scan, and no memo.
 """
 
 from itertools import chain, combinations
 
 import sympy
+
+from spherejoin import (
+    InvalidDimensionError,
+    PreconditionViolatedError,
+    PseudomanifoldReport,
+    RecognitionReport,
+    cycle_length,
+)
 
 
 def powerset(iterable):
@@ -129,3 +141,139 @@ def has_cone_apex_oracle(maximal_faces, subset):
     for f in maximal:
         common &= f
     return bool(common)
+
+
+def canonical_faces_oracle(faces):
+    """The faces no other face strictly contains, in canonical order."""
+    faces = {frozenset(f) for f in faces}
+    kept = [f for f in faces if not any(f < g for g in faces)]
+    return tuple(sorted(kept, key=lambda f: tuple(sorted(f))))
+
+
+def pseudomanifold_reference(k):
+    """Ridges from the full face enumeration; union-find over shared ridges."""
+    n = k.dim
+    if n < 1:
+        raise InvalidDimensionError(f"pseudomanifold test needs dim >= 1, got {n}")
+    by_dim = k.faces_by_dim()
+    tops = by_dim[n]
+    cofacets = {r: [t for t in tops if r & ~t == 0] for r in by_dim[n - 1]}
+    violations = sorted(
+        (k._unmask(r) for r, c in cofacets.items() if len(c) != 2),
+        key=lambda f: tuple(sorted(f)),
+    )
+    component = {t: t for t in tops}
+    for c in cofacets.values():
+        for t in c[1:]:
+            old, new = component[t], component[c[0]]
+            for key, value in component.items():
+                if value == old:
+                    component[key] = new
+    return PseudomanifoldReport(
+        dim=n,
+        is_pure=all(len(f) == n + 1 for f in k.maximal_faces),
+        ridge_violations=tuple(violations),
+        strongly_connected=len(set(component.values())) <= 1,
+    )
+
+
+def _require_pure_pseudomanifold_reference(k):
+    if k.dim < 0 or (k.dim == 0 and k.vertex_count != 2):
+        raise PreconditionViolatedError("not a pure pseudomanifold")
+    if k.dim > 0 and not pseudomanifold_reference(k).holds:
+        raise PreconditionViolatedError("not a pure pseudomanifold")
+
+
+def two_face_reference(k):
+    """Build the link of every codimension-2 face, in canonical order."""
+    _require_pure_pseudomanifold_reference(k)
+    n = k.dim
+    if n == 0:
+        return RecognitionReport("TwoFace", True)
+    etas = [frozenset()] if n == 1 else k.faces(n - 2)
+    for eta in etas:
+        length = cycle_length(k.link(eta) if eta else k)
+        if length is None:
+            return RecognitionReport(
+                "TwoFace", False, {"kind": "codim2_link_not_cycle", "eta": sorted(eta)}
+            )
+        if length > 4:
+            return RecognitionReport(
+                "TwoFace",
+                False,
+                {"kind": "long_codim2_link", "eta": sorted(eta), "cycle_length": length},
+            )
+    return RecognitionReport("TwoFace", True)
+
+
+def recursive_reference(k):
+    """Recurse into every vertex link, with no memo."""
+
+    def run(k, path):
+        n = k.dim
+        if n < 0:
+            raise InvalidDimensionError("recursive recognition needs dim >= 0")
+        if n == 0:
+            if k.vertex_count == 2:
+                return None
+            return {"kind": "bad_zero_dim_link", "path": list(path), "vertex_count": k.vertex_count}
+        if n == 1:
+            length = cycle_length(k)
+            if length in (3, 4):
+                return None
+            return {"kind": "link_not_short_cycle", "path": list(path), "cycle_length": length}
+        rep = pseudomanifold_reference(k)
+        if not rep.holds:
+            return {
+                "kind": "not_pseudomanifold",
+                "path": list(path),
+                "pure": rep.is_pure,
+                "ridge_violations": [sorted(r) for r in rep.ridge_violations[:3]],
+                "strongly_connected": rep.strongly_connected,
+            }
+        for v in k.vertices:
+            link = k.link({v})
+            if link.dim != n - 1:
+                return {
+                    "kind": "link_dimension_drop",
+                    "path": list(path + (v,)),
+                    "link_dim": link.dim,
+                    "expected": n - 1,
+                }
+            w = run(link, path + (v,))
+            if w is not None:
+                return w
+        return None
+
+    witness = run(k, ())
+    return RecognitionReport("Recursive", witness is None, witness)
+
+
+def simplex_link_reference(k):
+    """Every face test, edges included, scans the facets."""
+
+    def is_face(f):
+        return any(f <= g for g in k.maximal_faces)
+
+    for sigma in k.maximal_faces:
+        comp = frozenset(k.vertices) - sigma
+        if not is_face(comp):
+            return RecognitionReport(
+                "SimplexLink",
+                False,
+                {"kind": "restriction_not_simplex", "sigma": sorted(sigma), "complement": sorted(comp)},
+            )
+        for v in sorted(sigma):
+            support = frozenset(w for w in comp if is_face(frozenset({v, w})))
+            if not is_face(support | {v}):
+                return RecognitionReport(
+                    "SimplexLink",
+                    False,
+                    {
+                        "kind": "link_intersection_not_simplex",
+                        "sigma": sorted(sigma),
+                        "vertex": v,
+                        "support": sorted(support),
+                    },
+                )
+    return RecognitionReport("SimplexLink", True)

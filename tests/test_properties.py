@@ -1,10 +1,14 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherejoin import (
     Field,
+    InvalidDimensionError,
+    PreconditionViolatedError,
     SimplicialComplex,
     check_simplex_link,
     check_two_face,
@@ -18,7 +22,16 @@ from spherejoin import (
     reduced_betti,
 )
 
-from conftest import complexes
+from spherejoin.complexes import _canonical_faces
+
+from conftest import complexes, spheres
+from oracle import (
+    canonical_faces_oracle,
+    pseudomanifold_reference,
+    recursive_reference,
+    simplex_link_reference,
+    two_face_reference,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,3 +209,54 @@ class TestRelabelingInvariance:
                 assert (decompose_by_non_faces(shuffled)[0] is not None) == base
                 if k.dim >= 1:
                     assert recognize_recursive(shuffled).verdict == base
+
+
+def _outcome(criterion, k):
+    """The report, or the type of the typed error the criterion raised."""
+    try:
+        return criterion(k)
+    except (InvalidDimensionError, PreconditionViolatedError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(complexes(max_vertices=7), spheres()))
+def test_criteria_match_references(k):
+    # the library criteria skip work the pseudomanifold structure fixes;
+    # reports, witnesses included, must equal the plain versions'
+    assert _outcome(check_simplex_link, k) == simplex_link_reference(k)
+    assert _outcome(check_two_face, k) == _outcome(two_face_reference, k)
+    assert _outcome(recognize_recursive, k) == _outcome(recursive_reference, k)
+    assert _outcome(is_pseudomanifold, k) == _outcome(pseudomanifold_reference, k)
+
+
+@st.composite
+def face_lists(draw):
+    """Non-pure face lists with duplicates, nested chains and empty faces."""
+    faces = draw(
+        st.lists(st.frozensets(st.integers(min_value=0, max_value=6)), min_size=1, max_size=8)
+    )
+    for f in list(faces):
+        if f:
+            faces.append(draw(st.frozensets(st.sampled_from(sorted(f)))))
+    return faces + faces[:2] + [frozenset()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(face_lists())
+def test_canonical_faces_match_brute_force(faces):
+    assert _canonical_faces(set(faces)) == canonical_faces_oracle(faces)
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [set()],
+        [set(), {3}],
+        [{0}, {0, 1}, {0, 1, 2}, {1, 2}, {0, 1, 2}],
+        [{0, 1, 2}, {2, 3}, {3, 4}, {3}, {5}, {0, 5}],
+    ],
+)
+def test_canonical_faces_fixed_chains(faces):
+    fs = {frozenset(f) for f in faces}
+    assert _canonical_faces(fs) == canonical_faces_oracle(fs)

@@ -3,6 +3,8 @@ import pytest
 from spherejoin import (
     CapExceededError,
     PreconditionViolatedError,
+    PseudomanifoldReport,
+    SimplicialComplex,
     boundary_of_simplex,
     build_complex,
     check_double,
@@ -11,10 +13,14 @@ from spherejoin import (
     cycle_length,
     decompose_by_non_faces,
     double,
+    is_pseudomanifold,
     recognize_all,
     recognize_recursive,
     simplex_boundary_on,
 )
+from spherejoin import recognition
+
+from conftest import pinched_octahedron
 
 
 @pytest.fixture
@@ -25,6 +31,13 @@ def prism_dual():
 @pytest.fixture
 def pentagon_prism_dual(pentagon):
     return pentagon.join(simplex_boundary_on([5, 6]))
+
+
+@pytest.fixture
+def product_333():
+    """The dual of product:3,3,3, the join of three tetrahedron boundaries."""
+    k = simplex_boundary_on(range(4)).join(simplex_boundary_on(range(4, 8)))
+    return k.join(simplex_boundary_on(range(8, 12)))
 
 
 class TestDecompose:
@@ -252,3 +265,127 @@ class TestRecognizeAll:
         assert data["decomposition"] == {"parts": [[0, 2], [1, 3]], "dims": [1, 1]}
         for item in data["criteria"]:
             assert set(item) == {"criterion", "verdict", "witness"}
+
+
+class TestWitnessKinds:
+    """Exact witnesses of the SimplexLink, TwoFace and Recursive criteria."""
+
+    def test_link_intersection_not_simplex(self):
+        # the complement {2, 3} of {0, 1} is an edge, but 0 sees it as a hollow triangle
+        k = build_complex([{0, 1}, {0, 2}, {0, 3}, {2, 3}], 4)
+        assert check_simplex_link(k).witness == {
+            "kind": "link_intersection_not_simplex",
+            "sigma": [0, 1],
+            "vertex": 0,
+            "support": [2, 3],
+        }
+
+    def test_codim2_link_not_cycle(self):
+        rep = check_two_face(pinched_octahedron())
+        assert rep.verdict is False
+        assert rep.witness == {"kind": "codim2_link_not_cycle", "eta": [0]}
+
+    def test_codim2_link_not_cycle_above_dimension_two(self):
+        k = pinched_octahedron().join(simplex_boundary_on([7, 8]))
+        assert check_two_face(k).witness == {"kind": "codim2_link_not_cycle", "eta": [0, 7]}
+
+    def test_bad_zero_dim_link(self):
+        rep = recognize_recursive(build_complex([{0}, {1}, {2}], 3))
+        assert rep.witness == {"kind": "bad_zero_dim_link", "path": [], "vertex_count": 3}
+
+    def test_link_not_short_cycle(self, pentagon_prism_dual):
+        assert recognize_recursive(pentagon_prism_dual).witness == {
+            "kind": "link_not_short_cycle",
+            "path": [5],
+            "cycle_length": 5,
+        }
+
+    def test_link_not_short_cycle_of_two_cycles(self):
+        assert recognize_recursive(pinched_octahedron()).witness == {
+            "kind": "link_not_short_cycle",
+            "path": [0],
+            "cycle_length": None,
+        }
+
+    def test_not_pseudomanifold_at_root(self):
+        k = build_complex([{0, 1, 2}, {2, 3}], 4)
+        assert recognize_recursive(k).witness == {
+            "kind": "not_pseudomanifold",
+            "path": [],
+            "pure": False,
+            "ridge_violations": [[0, 1], [0, 2], [1, 2]],
+            "strongly_connected": True,
+        }
+
+    def test_not_pseudomanifold_in_a_link(self):
+        # the link of vertex 0 is the suspension of two disjoint triangles
+        k = pinched_octahedron().join(simplex_boundary_on([7, 8]))
+        assert recognize_recursive(k).witness == {
+            "kind": "not_pseudomanifold",
+            "path": [0],
+            "pure": True,
+            "ridge_violations": [],
+            "strongly_connected": False,
+        }
+
+    def test_link_dimension_drop(self, monkeypatch):
+        # every vertex link of a pure pseudomanifold keeps its dimension, so
+        # the precondition is passed by hand to reach this witness
+        k = build_complex([{0, 3}, {1, 2, 3}], 4)
+        monkeypatch.setattr(
+            recognition,
+            "is_pseudomanifold",
+            lambda c: PseudomanifoldReport(c.dim, True, (), True),
+        )
+        assert recognize_recursive(k).witness == {
+            "kind": "link_dimension_drop",
+            "path": [0],
+            "link_dim": 0,
+            "expected": 1,
+        }
+
+
+def _count_calls(monkeypatch, method):
+    """Record each call of a SimplicialComplex method, by its argument."""
+    calls = []
+    original = getattr(SimplicialComplex, method)
+
+    def counted(self, arg):
+        calls.append(arg)
+        return original(self, arg)
+
+    monkeypatch.setattr(SimplicialComplex, method, counted)
+    return calls
+
+
+class TestWorkCounts:
+    """Work the criteria skip because the complex already fixes the answer,
+    counted in calls rather than timed."""
+
+    def test_recursive_memo_up_to_relabelling(self, monkeypatch, product_333):
+        links = _count_calls(monkeypatch, "link")
+        assert recognize_recursive(product_333).verdict
+        # a memo keyed by exact face sets builds 11,592 links here
+        assert 0 < len(links) <= 11592 // 10
+
+    def test_two_face_builds_no_link_on_products(self, monkeypatch, catalog, product_333):
+        products = [e.complex for e in catalog if e.is_sphere_join] + [product_333]
+        links = _count_calls(monkeypatch, "link")
+        for k in products:
+            assert check_two_face(k).verdict
+        assert links == []
+
+    def test_simplex_link_tests_no_edge_by_membership(self, monkeypatch, product_333):
+        tested = _count_calls(monkeypatch, "__contains__")
+        assert check_simplex_link(product_333).verdict
+        # one test of each complement and one per (maximal simplex, vertex)
+        assert all(len(f) != 2 for f in tested)
+        assert len(tested) == 64 * (1 + 9)
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_pseudomanifold_enumerates_no_faces(self, pure):
+        faces = [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}]
+        k = build_complex(faces if pure else faces[:3] + [{3, 4}], 4 if pure else 5)
+        assert k._faces_by_dim is None
+        assert is_pseudomanifold(k).holds is pure
+        assert k._faces_by_dim is None
