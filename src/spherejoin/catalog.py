@@ -111,7 +111,3 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
             )
         )
     return tuple(entries)
-
-
-def catalog_complexes() -> list[tuple[str, SimplicialComplex]]:
-    return [(e.name, e.complex) for e in build_catalog()]

@@ -15,6 +15,7 @@ disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -350,7 +351,9 @@ def _add_common(sub, *, gen=True, field=True, cap=True, assert_flag=False):
     sub.add_argument("--quiet", action="store_true", help="suppress non-essential output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="spherejoin",
         description="Decide whether a simple convex polytope is combinatorially a product of simplices.",

@@ -68,6 +68,7 @@ class SimplicialComplex:
         "_faces_by_dim",
         "_minimal_non_faces",
         "_sweep_tables",
+        "_rank_floor",
         "__weakref__",
     )
 
@@ -117,8 +118,10 @@ class SimplicialComplex:
         self._full_mask = (1 << len(verts)) - 1
         self._faces_by_dim = None
         self._minimal_non_faces = None
-        # filled by the homology subset sweep
+        # filled by the homology subset sweep; the floor is a proven lower
+        # bound on the Hochster total over both fields (the empty J gives 1)
         self._sweep_tables = None
+        self._rank_floor = 1
 
     # -- basic protocol ---------------------------------------------------
 

@@ -337,25 +337,17 @@ def dihedral_nonobtuse_check(
 # -- serialization ------------------------------------------------------------------
 
 
-def _fraction_to_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _fraction_from_str(s) -> Fraction:
-    return Fraction(str(s))
-
-
 def polytope_to_json_dict(hrep: PolytopeHRep, vrep: PolytopeVRep) -> dict:
     return {
         "dim": hrep.dim,
         "inequalities": [
             {
-                "normal": [_fraction_to_str(x) for x in normal],
-                "offset": _fraction_to_str(offset),
+                "normal": [str(x) for x in normal],
+                "offset": str(offset),
             }
             for normal, offset in hrep.inequalities
         ],
-        "vertices": [[_fraction_to_str(x) for x in v] for v in vrep.vertices],
+        "vertices": [[str(x) for x in v] for v in vrep.vertices],
     }
 
 
@@ -363,13 +355,13 @@ def polytope_from_json_dict(data: dict) -> tuple[PolytopeHRep, PolytopeVRep]:
     dim = json_integer(data, "dim")
     ineqs = tuple(
         (
-            tuple(_fraction_from_str(x) for x in row["normal"]),
-            _fraction_from_str(row["offset"]),
+            tuple(Fraction(str(x)) for x in row["normal"]),
+            Fraction(str(row["offset"])),
         )
         for row in data["inequalities"]
     )
     verts = tuple(
-        tuple(_fraction_from_str(x) for x in v) for v in data["vertices"]
+        tuple(Fraction(str(x)) for x in v) for v in data["vertices"]
     )
     for normal, _ in ineqs:
         if len(normal) != dim:

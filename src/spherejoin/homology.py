@@ -25,23 +25,26 @@ single pass over the subsets J:
   all of them vanish.  Fraction-free integer elimination runs only on
   restrictions whose GF(2) homology has both parities, where 2-torsion
   can make the fields differ (a projective plane has beta_1 = beta_2 = 1
-  over GF(2) and no rational homology), and only once the rational table
-  is asked for.
+  over GF(2) and no rational homology), and only once a complete rational
+  table is asked for.
 
 The tables are cached on the complex itself, so every public function and
 both fields share one sweep, and a long-running process holds no table of
 a complex it has dropped.
 
-The rank criterion bounds its sweep.  Every term of the total is a
-nonnegative rank, so once a running total passes 2^(m - dim K - 1) the
-answer is no, and the pass stops there.  Each term is exact for its
-restriction over the requested field: over Q, a restriction the parity
-argument leaves open is eliminated when the pass reaches it, never read
-off the GF(2) ranks, which torsion can only make larger.  A bounded total
-is therefore exact up to the bound and only a lower bound past it; a pass
-that stops caches nothing, so the cached tables are always complete.
-Totals reported to the user (`hrk`, `betti`, `crosscheck`) are never
-bounded.
+The rank criterion bounds its sweep, with one pass for both fields.  The
+pass keeps a floor: 1 for the empty J plus the ranks of the restrictions
+the parity argument certifies, which are the same over GF(2) and over Q.
+Every term of either total is a nonnegative rank, so the floor is a lower
+bound on both, and once it passes 2^(m - dim K - 1) both criteria answer
+no and the pass stops.  Restrictions the certificate leaves open are never
+eliminated by a bounded pass; torsion can make their GF(2) ranks larger,
+so they do not count towards the floor.  A pass that stops leaves its
+floor on the complex and caches no table, so the cached tables are always
+complete, and a later bounded call below that floor, over either field,
+reads it without sweeping.  A bounded total is therefore exact up to the
+bound and only a lower bound past it.  Totals reported to the user (`hrk`,
+`betti`, `crosscheck`) are never bounded.
 
 All arithmetic is exact: GF(2) uses bitset elimination, rational ranks use
 fraction-free integer elimination.  Sweeps are pure functions of immutable
@@ -197,22 +200,6 @@ def _non_faces_inside(n: int, non_faces: list[int]) -> array:
     return out
 
 
-class _BoundPassed(Exception):
-    """A bounded pass stopped: its running total passed the bound."""
-
-    def __init__(self, total: int) -> None:
-        super().__init__(total)
-        self.total = total
-
-
-def _add_ranks(table: dict[tuple[int, int], int], size: int, ranks) -> None:
-    """Add (degree, rank) pairs of one restriction to a (|J|, degree) table."""
-    for d, b in ranks:
-        if b:
-            key = (size, d)
-            table[key] = table.get(key, 0) + b
-
-
 def _rational_ranks(by_dim: list[list[int]], jmask: int) -> dict[int, int]:
     """Rational reduced Betti numbers of the restriction to `jmask`, by
     fraction-free elimination."""
@@ -222,8 +209,8 @@ def _rational_ranks(by_dim: list[list[int]], jmask: int) -> dict[int, int]:
 
 
 def _subset_sweep(
-    complex_: SimplicialComplex, field: Field = Field.GF2, stop_above: int | None = None
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], tuple[int, ...]]:
+    complex_: SimplicialComplex, stop_above: int | None = None
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], tuple[int, ...]] | None:
     """Reduced Betti ranks of every full subcomplex K_J, keyed by (|J|, degree),
     from one pass over the subsets J: the GF(2) table, the rational table
     without the subsets the parity test leaves open, and those subsets.
@@ -248,13 +235,14 @@ def _subset_sweep(
     an alternating sum that is 0, so they all vanish and the two rows are
     equal.  Restrictions with GF(2) homology in degrees of both parities
     stay open; `_sweep_table` ranks them over Q, by fraction-free
-    elimination, only when the rational table is asked for.
+    elimination, only when the rational table is asked for.  The pass
+    itself never eliminates.
 
-    With `stop_above`, the pass keeps a running total over `field` and
-    raises `_BoundPassed` as soon as it exceeds the bound.  Over Q the open
-    restrictions are then ranked by elimination as the pass reaches them,
-    so every term of the total is exact and a pass that ends returns no
-    open subsets.
+    With `stop_above`, the pass keeps the floor: 1 for the empty J plus the
+    ranks of the certified restrictions, whose GF(2) and Q ranks are
+    equal.  The floor is a lower bound on both fields' totals, so once it
+    exceeds the bound the pass stores it on the complex as `_rank_floor`
+    and returns None.
     """
     by_dim = complex_.faces_by_dim()
     inside = _non_faces_inside(
@@ -267,8 +255,7 @@ def _subset_sweep(
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
     rational = dict(gf2)
     uncertified = []
-    eager = stop_above is not None and field is Field.RATIONAL
-    total = 1
+    floor = 1
     for jmask in range(1, len(inside)):
         if inside[jmask] != jmask:
             continue
@@ -290,42 +277,44 @@ def _subset_sweep(
                 gf2[key] = gf2.get(key, 0) + b
                 if certified:
                     rational[key] = rational.get(key, 0) + b
-        ranks = betti
         if not certified:
-            if eager:
-                exact = _rational_ranks(by_dim, jmask)
-                _add_ranks(rational, size, exact.items())
-                ranks = exact.values()
-            else:
-                uncertified.append(jmask)
-        if stop_above is not None:
-            total += sum(ranks)
-            if total > stop_above:
-                raise _BoundPassed(total)
+            uncertified.append(jmask)
+        elif stop_above is not None:
+            floor += sum(betti)
+            if floor > stop_above:
+                complex_._rank_floor = floor
+                return None
     return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
 
 
 def _sweep_table(
     complex_: SimplicialComplex, field: Field, cap: int, stop_above: int | None = None
-) -> dict[tuple[int, int], int]:
+) -> dict[tuple[int, int], int] | None:
     """The subset-sweep table of `complex_` over `field`, refused past the cap.
 
     Tables are cached on the complex, so they go when the complex does, and
     are sorted by key, so their order does not depend on the sweep's.  With
-    `stop_above`, a complex without tables is swept by a bounded pass; one
-    that stops raises `_BoundPassed` and caches nothing, so the cache only
-    ever holds complete tables.
+    `stop_above`, a complex without tables gets None at once when its
+    remembered floor already exceeds the bound, and is otherwise swept by a
+    bounded pass; a pass that stops leaves its floor and returns None, so
+    the cache only ever holds complete tables.  Rational ranks of the
+    restrictions the parity certificate left open are computed here, once,
+    the first time the rational table is asked for.
     """
     if complex_.vertex_count > cap:
         raise CapExceededError(
             f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
         )
     if complex_._sweep_tables is None:
-        complex_._sweep_tables = (
-            _subset_sweep(complex_)
-            if stop_above is None
-            else _subset_sweep(complex_, field, stop_above)
-        )
+        if stop_above is None:
+            complex_._sweep_tables = _subset_sweep(complex_)
+        elif complex_._rank_floor > stop_above:
+            return None
+        else:
+            tables = _subset_sweep(complex_, stop_above)
+            if tables is None:
+                return None
+            complex_._sweep_tables = tables
     gf2, rational, uncertified = complex_._sweep_tables
     if field is Field.GF2:
         return gf2
@@ -334,7 +323,10 @@ def _sweep_table(
         rational = dict(rational)
         by_dim = complex_.faces_by_dim()
         for jmask in uncertified:
-            _add_ranks(rational, jmask.bit_count(), _rational_ranks(by_dim, jmask).items())
+            for d, b in _rational_ranks(by_dim, jmask).items():
+                if b:
+                    key = (jmask.bit_count(), d)
+                    rational[key] = rational.get(key, 0) + b
         rational = dict(sorted(rational.items()))
         complex_._sweep_tables = (gf2, rational, ())
     return rational
@@ -350,17 +342,15 @@ def hochster_total_rank(
     """Sum over all vertex subsets J of the total reduced Betti number of
     the restriction to J; the empty subset contributes exactly 1.
 
-    With `stop_above`, a complex not yet swept is swept until the running
-    total exceeds that bound.  Every term is nonnegative and exact for its
-    restriction over `field` (over Q, restrictions the parity certificate
-    leaves open are eliminated as the pass reaches them), so a result at
-    most `stop_above` is the exact total, and a larger one is only a lower
-    bound on it.  A pass that stops early caches nothing.
+    With `stop_above`, a complex not yet swept is swept only until its
+    floor, the part of the total the parity certificate proves for both
+    fields at once, exceeds that bound; that floor is then the result, and
+    later bounded calls below it, over either field, return it without a
+    sweep.  So a result at most `stop_above` is the exact total over
+    `field`, and a larger one lies between the bound and that total.
     """
-    try:
-        return sum(_sweep_table(complex_, field, cap, stop_above).values())
-    except _BoundPassed as passed:
-        return passed.total
+    table = _sweep_table(complex_, field, cap, stop_above)
+    return complex_._rank_floor if table is None else sum(table.values())
 
 
 def hochster_rank_criterion(
@@ -368,9 +358,11 @@ def hochster_rank_criterion(
 ) -> bool:
     """True iff the total subset-sweep rank equals 2^(m - dim - 1).
 
-    The total is bounded by that value: once the running total passes it
-    the answer is False, so a negative is usually decided after a fraction
-    of the subsets, while a positive sweeps them all and caches the tables.
+    The total is bounded by that value: once the certified floor passes it
+    the answer is False for both fields, so a negative is usually decided
+    after a fraction of the subsets, with no elimination over Q, and the
+    other field's criterion then reads the remembered floor without a
+    sweep.  A positive sweeps every subset and caches the tables.
     """
     expected = 1 << (complex_.vertex_count - complex_.dim - 1)
     return hochster_total_rank(complex_, field, cap, stop_above=expected) == expected

@@ -5,6 +5,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -70,15 +71,6 @@ def fraction_rank(rows: list[list[Fraction]]) -> int:
     """Rank of a matrix of Fractions, by clearing denominators row by row."""
     cleared = []
     for row in rows:
-        lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            lcm = lcm * d // _gcd(lcm, d)
+        lcm = math.lcm(*(Fraction(x).denominator for x in row))
         cleared.append([int(Fraction(x) * lcm) for x in row])
     return integer_rank(cleared)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

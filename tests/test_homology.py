@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 from itertools import chain, combinations
@@ -21,6 +22,7 @@ from spherejoin import (
     hochster_rank_via_double,
     hochster_total_rank,
     incidence_from_hv,
+    recognize_all,
     reduced_betti,
     simplex_boundary_on,
 )
@@ -321,6 +323,85 @@ class TestBoundedTotal:
             assert hochster_total_rank(k, other) == 1 << (k.vertex_count - k.dim - 1)
             assert hochster_rank_criterion(k, other)
         assert calls == [k]
+
+
+def spy(monkeypatch, name):
+    """Replace `homology.<name>` by a wrapper that records its first argument."""
+    calls = []
+    original = getattr(homology, name)
+    monkeypatch.setattr(homology, name, lambda *args: calls.append(args[0]) or original(*args))
+    return calls
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_total(vertices, maximal_faces, field):
+    """`hochster_total_oracle`, once per complex: hypothesis draws RP^2 often."""
+    return hochster_total_oracle(vertices, maximal_faces, field.value)
+
+
+class TestOneBoundedPass:
+    """A bounded pass leaves a floor, certified for both fields, that decides
+    both criteria; it never eliminates over Q."""
+
+    @pytest.mark.parametrize("make", [lambda: cycle(13), projective_plane])
+    def test_recognize_all_sweeps_once(self, monkeypatch, make):
+        k = make()
+        swept = spy(monkeypatch, "_subset_sweep")
+        verdicts = {r.criterion: r.verdict for r in recognize_all(k).reports}
+        assert verdicts["HochsterGF2"] is False
+        assert verdicts["HochsterQ"] is False
+        assert len(swept) == 1 and swept[0] is k
+
+    def test_rational_criterion_eliminates_nothing(self, monkeypatch, catalog):
+        cube = next(e.complex for e in catalog if e.name == "truncated:cube")
+
+        def fresh():
+            return SimplicialComplex(cube.maximal_faces, vertices=cube.vertices)
+
+        k = fresh()
+        eliminated = spy(monkeypatch, "_reduced_from_masks")
+        assert not hochster_rank_criterion(k, Field.RATIONAL)
+        assert eliminated == []
+        assert hochster_total_rank(k, Field.RATIONAL) == hochster_total_rank(
+            fresh(), Field.RATIONAL
+        )
+
+    @pytest.mark.parametrize("first, second", [BOTH, BOTH[::-1]])
+    def test_floor_answers_lower_bounds_without_sweeping(self, monkeypatch, first, second):
+        k = cycle(13)
+        bound = 1 << (k.vertex_count - k.dim - 1)
+        swept = spy(monkeypatch, "_subset_sweep")
+        floor = hochster_total_rank(k, first, stop_above=bound)
+        assert floor > bound
+        for field in (second, first):
+            assert hochster_total_rank(k, field, stop_above=bound) == floor
+            assert hochster_total_rank(k, field, stop_above=0) == floor
+        assert swept == [k]
+        assert k._sweep_tables is None
+        # an unbounded call ignores the floor
+        assert hochster_total_rank(k, second) == 18436
+        assert swept == [k, k]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(complexes(), st.builds(projective_plane)), st.data())
+    def test_interleaved_fields_on_one_complex(self, k, data):
+        exact = {f: oracle_total(k.vertices, k.maximal_faces, f) for f in BOTH}
+        complete = sweep_tables(SimplicialComplex(k.maximal_faces, vertices=k.vertices))
+        order = data.draw(st.permutations(BOTH))
+        for field in (*order, *reversed(order)):
+            bound = data.draw(st.integers(min_value=0, max_value=exact[field] + 1))
+            got = hochster_total_rank(k, field, stop_above=bound)
+            if exact[field] <= bound:
+                assert got == exact[field]
+            else:
+                assert bound < got <= exact[field]
+            if k._sweep_tables is not None:
+                # complete tables, read through a copy so that `k` keeps its state
+                copy = SimplicialComplex(k.maximal_faces, vertices=k.vertices)
+                copy._sweep_tables = k._sweep_tables
+                assert sweep_tables(copy) == complete
+        for field in BOTH:
+            assert hochster_total_rank(k, field) == exact[field]
 
 
 class TestViaDouble:
