@@ -452,28 +452,44 @@ def double(complex_: SimplicialComplex) -> SimplicialComplex:
     minimal non-faces are exactly the doubled minimal non-faces.
 
     Vertex i of the input becomes the pair 2i, 2i+1 of the output; labels
-    are derived by suffixing a prime.  The result is rebuilt from the
-    prescribed non-faces and re-verified against its own minimal non-face
-    enumeration.
+    are derived by suffixing a prime.  No dualization runs over the 2m
+    doubled vertices; the result follows from the lift lemma.  A set S of
+    doubled vertices contains a lifted non-face exactly when the vertices
+    with both copies in S contain a non-face, so S is a face iff those
+    vertices form a face.  The maximal faces are therefore both copies of
+    a maximal face sigma plus one copy of each vertex outside it: 2^(m-|sigma|)
+    distinct faces per sigma, pure input or not.
+
+    The check runs at m vertices: the complex the minimal non-faces define
+    must be the input itself, and the non-faces must form an antichain.
+    Together with the lemma this proves the lifted family is the double's
+    minimal non-faces, so it is stored on the result instead of enumerated.
     """
     verts = complex_.vertices
-    pos = {v: i for i, v in enumerate(verts)}
     m = len(verts)
-    lifted = []
-    for nf in complex_.minimal_non_faces():
-        lifted.append(frozenset().union(*({2 * pos[v], 2 * pos[v] + 1} for v in nf)))
-    out = reconstruct_from_non_faces(range(2 * m), lifted)
-    base = (
-        list(complex_.labels)
-        if complex_.labels is not None
-        else [f"v{v}" for v in verts]
-    )
-    labels = []
-    for lab in base:
-        labels.extend([lab, lab + "'"])
-    out = SimplicialComplex(out.maximal_faces, vertices=range(2 * m), labels=labels)
-    if set(out.minimal_non_faces()) != set(lifted):
+    nfs = complex_.minimal_non_faces()
+    base = reconstruct_from_non_faces(verts, nfs)
+    non_faces = [complex_._mask(nf) for nf in nfs]
+    # a non-face inside another one (or a repeated one) would define the
+    # same complex yet lift to a family that is not the double's
+    nested = any(a & b == a for a, b in itertools.permutations(non_faces, 2))
+    if base != complex_ or nested:
         raise InternalInvariantError("doubled complex has unexpected minimal non-faces")
+
+    def lift(mask: int) -> list[int]:
+        return [u for i in range(m) if mask >> i & 1 for u in (2 * i, 2 * i + 1)]
+
+    faces = []
+    for fm in base._max_masks:
+        both = lift(fm)
+        copies = [(2 * i, 2 * i + 1) for i in range(m) if not fm >> i & 1]
+        faces.extend(frozenset((*both, *one)) for one in itertools.product(*copies))
+    names = complex_.labels if complex_.labels is not None else [f"v{v}" for v in verts]
+    labels = [lab for name in names for lab in (name, name + "'")]
+    out = SimplicialComplex(faces, vertices=range(2 * m), labels=labels)
+    out._minimal_non_faces = tuple(
+        frozenset(t) for t in sorted(tuple(lift(nf)) for nf in non_faces)
+    )
     return out
 
 

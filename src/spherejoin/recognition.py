@@ -128,29 +128,34 @@ def check_simplex_link(complex_: SimplicialComplex) -> RecognitionReport:
     face; an edgeless pair of points does not qualify.  The edge {v, w} is
     a face iff some maximal face holds both, so the vertices of the
     complementary simplex joined to v are read off v's neighbour mask, the
-    union of the maximal faces through v.
+    union of the maximal faces through v.  A vertex set is a face iff it
+    contains no minimal non-face, so each face test is a bit test against
+    the minimal non-faces rather than a scan of the maximal faces.
     """
-    vs = set(complex_.vertices)
+    non_faces = [complex_._mask(nf) for nf in complex_.minimal_non_faces()]
+
+    def is_face(mask: int) -> bool:
+        return all(nf & ~mask for nf in non_faces)
+
     neighbours = {v: 0 for v in complex_.vertices}
     for f, fm in zip(complex_.maximal_faces, complex_._max_masks):
         for v in f:
             neighbours[v] |= fm
-    for sigma in complex_.maximal_faces:
-        comp = frozenset(vs - sigma)
-        if comp not in complex_:
+    for sigma, sigma_mask in zip(complex_.maximal_faces, complex_._max_masks):
+        comp_mask = complex_._full_mask & ~sigma_mask
+        if not is_face(comp_mask):
             return RecognitionReport(
                 "SimplexLink",
                 False,
                 {
                     "kind": "restriction_not_simplex",
                     "sigma": sorted(sigma),
-                    "complement": sorted(comp),
+                    "complement": sorted(complex_._unmask(comp_mask)),
                 },
             )
-        comp_mask = complex_._mask(comp)
         for v in sorted(sigma):
-            support = complex_._unmask(neighbours[v] & comp_mask)
-            if support | {v} not in complex_:
+            support_mask = neighbours[v] & comp_mask
+            if not is_face(support_mask | 1 << complex_._bit[v]):
                 return RecognitionReport(
                     "SimplexLink",
                     False,
@@ -158,7 +163,7 @@ def check_simplex_link(complex_: SimplicialComplex) -> RecognitionReport:
                         "kind": "link_intersection_not_simplex",
                         "sigma": sorted(sigma),
                         "vertex": v,
-                        "support": sorted(support),
+                        "support": sorted(complex_._unmask(support_mask)),
                     },
                 )
     return RecognitionReport("SimplexLink", True)

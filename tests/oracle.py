@@ -114,6 +114,28 @@ def minimal_non_faces_oracle(vertices, maximal_faces):
     return set(out)
 
 
+def double_oracle(vertices, maximal_faces):
+    """The doubled complex from its definition: the maximal subsets of
+    range(2m) containing no lifted minimal non-face, vertex i of the
+    input becoming the pair 2i, 2i+1."""
+    pos = {v: i for i, v in enumerate(sorted(vertices))}
+    lifted = [
+        {u for v in nf for u in (2 * pos[v], 2 * pos[v] + 1)}
+        for nf in minimal_non_faces_oracle(vertices, maximal_faces)
+    ]
+    doubled = range(2 * len(pos))
+
+    def is_face(s):
+        return not any(nf <= s for nf in lifted)
+
+    faces = [set(s) for s in powerset(doubled) if is_face(set(s))]
+    return {
+        frozenset(f)
+        for f in faces
+        if not any(is_face(f | {u}) for u in doubled if u not in f)
+    }
+
+
 def minimal_transversals_oracle(vertex_count, edges):
     """Inclusion-minimal subsets of range(vertex_count) meeting every edge.
 

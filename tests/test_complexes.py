@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spherejoin import (
     IndexOutOfRangeError,
+    InternalInvariantError,
     InvalidDimensionError,
     InvalidParameterError,
     NotAFaceError,
@@ -19,10 +20,11 @@ from spherejoin import (
     reconstruct_from_non_faces,
     simplex_boundary_on,
 )
+from spherejoin import complexes as complexes_module
 from spherejoin.complexes import _minimal_transversals
 
 from conftest import complexes, cycle
-from oracle import minimal_non_faces_oracle, minimal_transversals_oracle
+from oracle import double_oracle, minimal_non_faces_oracle, minimal_transversals_oracle
 
 
 def faces_of(k):
@@ -344,6 +346,63 @@ class TestDouble:
     def test_labels_suffixed(self):
         d = double(simplex_boundary_on([0, 1]))
         assert d.labels == ("v0", "v0'", "v1", "v1'")
+
+    @staticmethod
+    def _assert_lift_lemma(k):
+        d = double(k)
+        assert faces_of(d) == double_oracle(k.vertices, k.maximal_faces)
+        assert d.vertices == tuple(range(2 * k.vertex_count))
+        # the stored non-faces are the ones an enumeration finds, in order
+        fresh = SimplicialComplex(d.maximal_faces, vertices=d.vertices)
+        assert fresh.minimal_non_faces() == d.minimal_non_faces()
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_vertices=5))
+    # a triangle with a pendant edge: facets of two sizes
+    @example(build_complex([{0, 1, 2}, {2, 3}], 4))
+    def test_lift_lemma_matches_definition(self, k):
+        self._assert_lift_lemma(k)
+
+    def test_lift_lemma_on_catalog(self, catalog):
+        small = [e.complex for e in catalog if e.complex.vertex_count <= 6]
+        assert small
+        for k in small:
+            self._assert_lift_lemma(k)
+
+    def test_wrong_non_faces_raise(self, square):
+        # one of the square's two diagonals dropped: the lifted family
+        # round-trips on the doubled side, but not against the square
+        square._minimal_non_faces = (frozenset({0, 2}),)
+        with pytest.raises(InternalInvariantError):
+            double(square)
+
+    def test_nested_non_faces_raise(self, square):
+        # a listed non-face inside another defines the same square, but
+        # its lift would not be the double's minimal non-faces
+        square._minimal_non_faces = square.minimal_non_faces() + (frozenset({0, 1, 2}),)
+        with pytest.raises(InternalInvariantError):
+            double(square)
+
+    def test_no_dualization_over_doubled_vertices(self, monkeypatch, pentagon):
+        rebuilt, widest = [], []
+        reconstruct = complexes_module.reconstruct_from_non_faces
+        transversals = complexes_module._minimal_transversals
+
+        def spy_reconstruct(vertices, non_faces):
+            rebuilt.append(tuple(vertices))
+            return reconstruct(vertices, non_faces)
+
+        def spy_transversals(edges):
+            out = transversals(edges)
+            widest.append(max(edges + out).bit_length())
+            return out
+
+        monkeypatch.setattr(complexes_module, "reconstruct_from_non_faces", spy_reconstruct)
+        monkeypatch.setattr(complexes_module, "_minimal_transversals", spy_transversals)
+        d = double(pentagon)
+        d.minimal_non_faces()
+        assert rebuilt == [pentagon.vertices]
+        assert widest and max(widest) <= pentagon.vertex_count
 
 
 class TestSerialization:
