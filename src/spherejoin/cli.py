@@ -20,7 +20,7 @@ import json
 import sys
 
 from .catalog import build_catalog
-from .complexes import SimplicialComplex, double
+from .complexes import SimplicialComplex, double, json_object
 from .errors import InternalInvariantError, InvalidParameterError, SphereJoinError
 from .geometry import (
     dihedral_nonobtuse_check,
@@ -72,6 +72,7 @@ def _load_json(path: str) -> dict:
 
 def _bundle_from_json(data: dict) -> dict:
     """Detect the payload kind by its keys and derive what follows from it."""
+    json_object(data, "input")
     if "maximal_faces" in data:
         return {"complex": SimplicialComplex.from_json_dict(data)}
     if "inequalities" in data and "vertices" in data:

@@ -176,25 +176,26 @@ class SimplicialComplex:
     def faces_by_dim(self) -> list[list[int]]:
         """All faces as bitmasks, grouped by dimension (index d = dimension).
 
-        The empty face is not included.  Exponential in the size of the
+        Built by down-closure: each size level starts with the maximal
+        faces of that size, and every face on a level adds its codimension-1
+        faces to the level below.  A face shared by many maximal faces is
+        therefore expanded once, not once per maximal face.  The empty face
+        is not included.  The output is exponential in the size of the
         maximal faces; only call this where the face count is moderate.
         """
         if self._faces_by_dim is None:
-            seen: set[int] = set()
+            levels: list[set[int]] = [set() for _ in range(self.dim + 2)]
             for fm in self._max_masks:
-                bits = [1 << i for i in range(self._full_mask.bit_length()) if fm >> i & 1]
-                for r in range(1, len(bits) + 1):
-                    for combo in itertools.combinations(bits, r):
-                        m = 0
-                        for b in combo:
-                            m |= b
-                        seen.add(m)
-            grouped: list[list[int]] = [[] for _ in range(self.dim + 1)]
-            for m in seen:
-                grouped[bin(m).count("1") - 1].append(m)
-            for lst in grouped:
-                lst.sort()
-            self._faces_by_dim = grouped
+                levels[fm.bit_count()].add(fm)
+            for size in range(len(levels) - 1, 1, -1):
+                below = levels[size - 1]
+                for f in levels[size]:
+                    b = f
+                    while b:
+                        low = b & -b
+                        below.add(f ^ low)
+                        b ^= low
+            self._faces_by_dim = [sorted(level) for level in levels[1:]]
         return self._faces_by_dim
 
     def f_vector(self) -> list[int]:
@@ -322,11 +323,41 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
+        json_object(data, "complex JSON")
         labels = data.get("labels")
-        return build_complex(data["maximal_faces"], json_integer(data, "m"), labels=labels)
+        if labels is not None:
+            labels = json_array(data, "labels")
+        faces = json_arrays(data, "maximal_faces")
+        return build_complex(faces, json_integer(data, "m"), labels=labels)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+# -- JSON input: a wrong shape is an InvalidParameterError, never a TypeError --
+
+_JSON_TYPES = (
+    (bool, "boolean"), (int, "integer"), (float, "number"),
+    (str, "string"), (list, "array"), (dict, "object"),
+)
+
+
+def _json_type(value) -> str:
+    return next((name for t, name in _JSON_TYPES if isinstance(value, t)), "null")
+
+
+def json_object(value, what: str) -> dict:
+    """`value` itself, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise InvalidParameterError(f"{what} must be a JSON object, got {_json_type(value)}")
+    return value
+
+
+def json_field(data: dict, key: str):
+    """The value stored under `key`, which must be present."""
+    if key not in data:
+        raise InvalidParameterError(f'missing "{key}"')
+    return data[key]
 
 
 def json_integer(data: dict, key: str) -> int:
@@ -334,9 +365,27 @@ def json_integer(data: dict, key: str) -> int:
 
     JSON true and 1.7 would pass int(); only a JSON integer is a count.
     """
-    value = data[key]
+    value = json_field(data, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParameterError(f'"{key}" must be an integer, got {value!r}')
+    return value
+
+
+def json_array(data: dict, key: str) -> list:
+    """The JSON array stored under `key`."""
+    value = json_field(data, key)
+    if not isinstance(value, list):
+        raise InvalidParameterError(f'"{key}" must be an array, got {_json_type(value)}')
+    return value
+
+
+def json_arrays(data: dict, key: str) -> list[list]:
+    """The JSON array of flat arrays stored under `key`, such as a list of
+    faces; the entries of the inner arrays are left to the caller."""
+    value = json_array(data, key)
+    for row in value:
+        if not isinstance(row, list) or any(isinstance(x, (list, dict)) for x in row):
+            raise InvalidParameterError(f'"{key}" must be an array of flat arrays')
     return value
 
 

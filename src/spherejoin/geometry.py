@@ -16,7 +16,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, json_integer
+from .complexes import (
+    SimplicialComplex,
+    json_array,
+    json_arrays,
+    json_field,
+    json_integer,
+    json_object,
+)
 from .errors import (
     InfeasibleVertexError,
     InvalidParameterError,
@@ -66,10 +73,11 @@ class VertexFacetIncidence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VertexFacetIncidence":
+        json_object(data, "incidence JSON")
         return cls(
             dim=json_integer(data, "n"),
             facet_count=json_integer(data, "facets"),
-            vertex_facets=tuple(frozenset(s) for s in data["vertex_facets"]),
+            vertex_facets=tuple(frozenset(s) for s in json_arrays(data, "vertex_facets")),
         )
 
 
@@ -352,16 +360,18 @@ def polytope_to_json_dict(hrep: PolytopeHRep, vrep: PolytopeVRep) -> dict:
 
 
 def polytope_from_json_dict(data: dict) -> tuple[PolytopeHRep, PolytopeVRep]:
+    json_object(data, "polytope JSON")
     dim = json_integer(data, "dim")
+    rows = [json_object(row, "an inequality") for row in json_array(data, "inequalities")]
     ineqs = tuple(
         (
-            tuple(Fraction(str(x)) for x in row["normal"]),
-            Fraction(str(row["offset"])),
+            tuple(Fraction(str(x)) for x in json_array(row, "normal")),
+            Fraction(str(json_field(row, "offset"))),
         )
-        for row in data["inequalities"]
+        for row in rows
     )
     verts = tuple(
-        tuple(Fraction(str(x)) for x in v) for v in data["vertices"]
+        tuple(Fraction(str(x)) for x in v) for v in json_arrays(data, "vertices")
     )
     for normal, _ in ineqs:
         if len(normal) != dim:

@@ -28,6 +28,19 @@ single pass over the subsets J:
   over GF(2) and no rational homology), and only once a complete rational
   table is asked for.
 
+The sweep factors over joins.  Two vertices share a join component when
+some minimal non-face holds both; the complex is the join of its full
+subcomplexes on these components and of a simplex on the remaining
+vertices, its cone apexes.  A full subcomplex of a join is the join of
+the factors' restrictions, and the reduced homology of a join is the
+shifted tensor product of the factors' (Kuenneth for joins), so the table
+of the complex is the convolution of the factors' tables: (s1, d1) and
+(s2, d2) give (s1 + s2, d1 + d2 + 1), and a cone apex contributes the unit
+{(0, -1): 1}.  Each factor is swept on its own, over 2^|V_i| subsets
+instead of 2^m, taking its minimal non-faces from the complex's cached
+list.  The double of a join is the join of the doubles, so doubled sweeps
+factor too.
+
 The tables are cached on the complex itself, so every public function and
 both fields share one sweep, and a long-running process holds no table of
 a complex it has dropped.
@@ -39,10 +52,13 @@ Every term of either total is a nonnegative rank, so the floor is a lower
 bound on both, and once it passes 2^(m - dim K - 1) both criteria answer
 no and the pass stops.  Restrictions the certificate leaves open are never
 eliminated by a bounded pass; torsion can make their GF(2) ranks larger,
-so they do not count towards the floor.  A pass that stops leaves its
-floor on the complex and caches no table, so the cached tables are always
-complete, and a later bounded call below that floor, over either field,
-reads it without sweeping.  A bounded total is therefore exact up to the
+so they do not count towards the floor.  Totals multiply over join
+factors, so the product of the finished factors' floors and the running
+factor's floor is a floor on the whole total; the pass runs the factors in
+turn and stops once that product passes the bound.  A pass that stops
+leaves its floor on the complex and caches no table, so the cached tables
+are always complete, and a later bounded call below that floor, over
+either field, reads it without sweeping.  A bounded total is therefore exact up to the
 bound and only a lower bound past it.  Totals reported to the user (`hrk`,
 `betti`, `crosscheck`) are never bounded.
 
@@ -57,9 +73,10 @@ import enum
 import sys
 from array import array
 from dataclasses import dataclass
+from math import prod
 
 from .complexes import SimplicialComplex
-from .errors import CapExceededError, InvalidDimensionError
+from .errors import CapExceededError, InternalInvariantError, InvalidDimensionError
 from .linalg import gf2_rank, integer_rank
 
 DEFAULT_CAP = 20
@@ -287,48 +304,141 @@ def _subset_sweep(
     return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
 
 
+def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
+    """The full subcomplexes of `complex_` on the join components of its
+    minimal non-faces, in vertex order; `(complex_,)` itself when one
+    component covers every vertex.
+
+    Two vertices share a component when some minimal non-face holds both.
+    Every minimal non-face then lies inside one component V_i, so a vertex
+    set is a face exactly when its part in every V_i is one: the complex is
+    the join of the K_{V_i} and of the simplex on the vertices in no
+    minimal non-face, its cone apexes.  A full subcomplex has as minimal
+    non-faces exactly those of the complex inside it, so each factor takes
+    them from the complex's cached list and runs no dualization.  A join
+    has as many maximal faces as the product of its factors' counts (a
+    simplex has one); a complex that has a different count was given a
+    wrong list of minimal non-faces, and raises rather than sweep wrongly.
+    """
+    non_faces = complex_.minimal_non_faces()
+    components: list[int] = []
+    for nf in non_faces:
+        merged = complex_._mask(nf)
+        rest = []
+        for c in components:
+            if c & merged:
+                merged |= c
+            else:
+                rest.append(c)
+        components = [*rest, merged]
+    if components == [complex_._full_mask]:
+        return (complex_,)
+    factors = []
+    for c in sorted(components, key=lambda c: c & -c):
+        verts = complex_._unmask(c)
+        factor = SimplicialComplex([f & verts for f in complex_.maximal_faces], vertices=verts)
+        factor._minimal_non_faces = tuple(nf for nf in non_faces if nf <= verts)
+        factors.append(factor)
+    if prod(len(f.maximal_faces) for f in factors) != len(complex_.maximal_faces):
+        raise InternalInvariantError(
+            "join factors of the minimal non-faces do not rebuild the complex"
+        )
+    return tuple(factors)
+
+
+def _convolve(tables) -> dict[tuple[int, int], int]:
+    """The sweep table of a join from its factors' tables.
+
+    A full subcomplex of a join is the join of the factors' restrictions,
+    and over a field the reduced homology of a join in degree d1 + d2 + 1
+    is the tensor product of the factors' in degrees d1 and d2 (Kuenneth
+    for joins).  So (s1, d1) and (s2, d2) go to (s1 + s2, d1 + d2 + 1),
+    and {(0, -1): 1}, the table of the empty restriction alone, is the unit.
+    """
+    out = {(0, -1): 1}
+    for table in tables:
+        product: dict[tuple[int, int], int] = {}
+        for (s1, d1), b1 in out.items():
+            for (s2, d2), b2 in table.items():
+                key = (s1 + s2, d1 + d2 + 1)
+                product[key] = product.get(key, 0) + b1 * b2
+        out = product
+    return dict(sorted(out.items()))
+
+
 def _sweep_table(
     complex_: SimplicialComplex, field: Field, cap: int, stop_above: int | None = None
 ) -> dict[tuple[int, int], int] | None:
     """The subset-sweep table of `complex_` over `field`, refused past the cap.
 
+    The sweep factors over the join components of the minimal non-faces
+    (`_join_factors`): each factor is swept once by `_subset_sweep`, over
+    2^|V_i| subsets instead of 2^m, and the complex's table is the
+    convolution of the factors' tables (`_convolve`).  A complex with one
+    component covering every vertex is its own single factor.
+
     Tables are cached on the complex, so they go when the complex does, and
     are sorted by key, so their order does not depend on the sweep's.  With
     `stop_above`, a complex without tables gets None at once when its
     remembered floor already exceeds the bound, and is otherwise swept by a
-    bounded pass; a pass that stops leaves its floor and returns None, so
-    the cache only ever holds complete tables.  Rational ranks of the
+    bounded pass, factor by factor.  Each factor's floor is a lower bound
+    on its totals over both fields, and the totals of a join multiply, so
+    factor i gets the bound `stop_above // done`, where `done` is the
+    product of the finished factors' floors: its floor passes that bound
+    exactly when `done` times it passes `stop_above`.  A pass that stops
+    leaves that product as the complex's floor and returns None, so the
+    cache only ever holds complete tables.  Rational ranks of the
     restrictions the parity certificate left open are computed here, once,
-    the first time the rational table is asked for.
+    the first time the rational table is asked for, one factor at a time.
+
+    The cache is (GF(2) table, rational table, what the rational table
+    still needs): a single sweep keeps its certified rational table and the
+    subsets left open, a join keeps no rational table and its factors.
     """
     if complex_.vertex_count > cap:
         raise CapExceededError(
             f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
         )
     if complex_._sweep_tables is None:
-        if stop_above is None:
-            complex_._sweep_tables = _subset_sweep(complex_)
-        elif complex_._rank_floor > stop_above:
+        if stop_above is not None and complex_._rank_floor > stop_above:
             return None
-        else:
-            tables = _subset_sweep(complex_, stop_above)
+        factors = _join_factors(complex_)
+        if factors == (complex_,):
+            if stop_above is None:
+                tables = _subset_sweep(complex_)
+            else:
+                tables = _subset_sweep(complex_, stop_above)
             if tables is None:
                 return None
-            complex_._sweep_tables = tables
-    gf2, rational, uncertified = complex_._sweep_tables
+        else:
+            done = 1
+            for factor in factors:
+                bound = None if stop_above is None else stop_above // done
+                if _sweep_table(factor, Field.GF2, cap, bound) is None:
+                    complex_._rank_floor = done * factor._rank_floor
+                    return None
+                done *= sum(factor._sweep_tables[1].values())
+            # the rational table waits, until asked for, on the factors'
+            tables = (_convolve(f._sweep_tables[0] for f in factors), None, factors)
+        complex_._sweep_tables = tables
+    gf2, rational, pending = complex_._sweep_tables
     if field is Field.GF2:
         return gf2
-    if uncertified:
+    if rational is None:
+        rational = _convolve(_sweep_table(f, Field.RATIONAL, cap) for f in pending)
+    elif not pending:
+        return rational
+    else:
         # a fresh table, swapped in whole, so concurrent callers never add twice
         rational = dict(rational)
         by_dim = complex_.faces_by_dim()
-        for jmask in uncertified:
+        for jmask in pending:
             for d, b in _rational_ranks(by_dim, jmask).items():
                 if b:
                     key = (jmask.bit_count(), d)
                     rational[key] = rational.get(key, 0) + b
         rational = dict(sorted(rational.items()))
-        complex_._sweep_tables = (gf2, rational, ())
+    complex_._sweep_tables = (gf2, rational, ())
     return rational
 
 

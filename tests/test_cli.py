@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spherejoin import (
     InternalInvariantError,
     SimplicialComplex,
@@ -79,6 +81,25 @@ class TestRecognize:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and '"n"' in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"maximal_faces"',
+            "5",
+            '{"m": 2, "maximal_faces": 5}',
+            '{"n": 2, "facets": 3, "vertex_facets": 4}',
+        ],
+    )
+    def test_malformed_json_shape_rejected(self, capsys, tmp_path, text):
+        # a non-object, or a wrong container under a known key, is bad input
+        # (exit 2), never a traceback that --assert would read as exit 1
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "recognize", "--in", str(path), "--assert")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_disagreement_exit_code(self, capsys, tmp_path):
         # a full simplex is not dual to any simple polytope: the rank count

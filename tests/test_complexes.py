@@ -23,8 +23,8 @@ from spherejoin import (
 from spherejoin import complexes as complexes_module
 from spherejoin.complexes import _minimal_transversals
 
-from conftest import complexes, cycle
-from oracle import double_oracle, minimal_non_faces_oracle, minimal_transversals_oracle
+from conftest import complexes, cycle, spheres
+from oracle import all_faces, double_oracle, minimal_non_faces_oracle, minimal_transversals_oracle
 
 
 def faces_of(k):
@@ -85,6 +85,19 @@ class TestBasicInvariants:
         assert boundary_of_simplex(2).f_vector() == [3, 3]
         assert square.dim == 1 and square.f_vector() == [4, 4]
         assert boundary_of_simplex(3).f_vector() == [4, 6, 4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(complexes(), spheres()))
+    @example(build_complex([{0, 1, 2}, {2, 3}, {4}], 5))
+    @example(SimplicialComplex([]))
+    def test_faces_by_dim_matches_powerset_oracle(self, k):
+        by_dim = k.faces_by_dim()
+        assert len(by_dim) == k.dim + 1
+        for d, level in enumerate(by_dim):
+            assert level == sorted(set(level))
+            assert all(f.bit_count() == d + 1 for f in level)
+        got = {tuple(sorted(k._unmask(f))) for level in by_dim for f in level}
+        assert got == all_faces(k.maximal_faces) - {()}
 
     def test_membership(self, square):
         assert {0, 1} in square
@@ -420,3 +433,19 @@ class TestSerialization:
         k = build_complex([{0, 1}], 2, labels=["a", "b"])
         again = SimplicialComplex.from_json_dict(json.loads(k.to_json()))
         assert again.labels == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"maximal_faces"',
+            "5",
+            '{"m": 2, "maximal_faces": 5}',
+            '{"m": 2, "maximal_faces": [0, 1]}',
+            '{"m": 1, "maximal_faces": [[[0]]]}',
+            '{"m": 2, "maximal_faces": [[0, 1]], "labels": "ab"}',
+            '{"maximal_faces": [[0]]}',
+        ],
+    )
+    def test_wrong_shape_rejected(self, text):
+        with pytest.raises(InvalidParameterError):
+            SimplicialComplex.from_json_dict(json.loads(text))

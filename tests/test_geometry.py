@@ -263,6 +263,28 @@ class TestPolytopeJson:
         with pytest.raises(InvalidParameterError):
             polytope_from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("inequalities", 5),
+            ("inequalities", [5]),
+            ("inequalities", [{"normal": 1, "offset": "0"}]),
+            ("inequalities", [{"normal": ["1"]}]),
+            ("vertices", [["1"], 2]),
+            ("dim", None),
+        ],
+    )
+    def test_wrong_shape_rejected(self, key, value):
+        data = polytope_to_json_dict(*gen_polygon(4))
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(InvalidParameterError):
+            polytope_from_json_dict(data)
+        with pytest.raises(InvalidParameterError):
+            polytope_from_json_dict([data])
+
 
 class TestIncidenceJson:
     def test_round_trip(self):
@@ -277,3 +299,16 @@ class TestIncidenceJson:
         with pytest.raises(InvalidParameterError) as info:
             VertexFacetIncidence.from_json_dict(data)
         assert str(info.value).startswith(f'"{key}" must be an integer')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "4",
+            '{"n": 2, "facets": 3, "vertex_facets": 4}',
+            '{"n": 2, "facets": 3, "vertex_facets": [[[1]]]}',
+            '{"n": 2, "vertex_facets": [[0, 1]]}',
+        ],
+    )
+    def test_wrong_shape_rejected(self, text):
+        with pytest.raises(InvalidParameterError):
+            VertexFacetIncidence.from_json_dict(json.loads(text))

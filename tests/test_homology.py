@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spherejoin import (
     CapExceededError,
     Field,
+    InternalInvariantError,
     SimplicialComplex,
     bigraded_betti,
     boundary_of_simplex,
@@ -27,9 +28,10 @@ from spherejoin import (
     simplex_boundary_on,
 )
 
+from spherejoin import complexes as complexes_module
 from spherejoin import homology
 
-from conftest import complexes, cycle
+from conftest import complexes, cycle, spheres
 from oracle import has_cone_apex_oracle, hochster_total_oracle, reduced_betti_oracle
 
 BOTH = (Field.GF2, Field.RATIONAL)
@@ -310,19 +312,23 @@ class TestBoundedTotal:
 
     @pytest.mark.parametrize("field", BOTH)
     def test_positive_criterion_sweeps_once(self, monkeypatch, field):
-        k = boundary_of_simplex(2).join(simplex_boundary_on([3, 4]))
-        k = k.join(simplex_boundary_on([5, 6]))
+        # a join of three simplex boundaries: the sweep runs once on each
+        # factor, never on the join, and later calls sweep nothing more
+        factors = [
+            boundary_of_simplex(2), simplex_boundary_on([3, 4]), simplex_boundary_on([5, 6])
+        ]
+        k = factors[0].join(factors[1]).join(factors[2])
         calls = []
         original = homology._subset_sweep
         monkeypatch.setattr(
             homology, "_subset_sweep", lambda *args: calls.append(args[0]) or original(*args)
         )
         assert hochster_rank_criterion(k, field)
-        assert calls == [k]
+        assert calls == factors
         for other in BOTH:
             assert hochster_total_rank(k, other) == 1 << (k.vertex_count - k.dim - 1)
             assert hochster_rank_criterion(k, other)
-        assert calls == [k]
+        assert calls == factors
 
 
 def spy(monkeypatch, name):
@@ -402,6 +408,137 @@ class TestOneBoundedPass:
                 assert sweep_tables(copy) == complete
         for field in BOTH:
             assert hochster_total_rank(k, field) == exact[field]
+
+
+POINT = SimplicialComplex([{0}])  # a one-vertex simplex; joined on, a cone apex
+
+
+@st.composite
+def joins(draw, max_vertices=6):
+    """Joins of two or three draws of `complexes` (often not pure) and
+    `spheres`, none a simplex, on disjoint vertices, sometimes with a cone
+    apex."""
+    k = SimplicialComplex([])  # the empty complex, the unit of the join
+    parts = draw(st.integers(min_value=2, max_value=3))
+    for _ in range(parts):
+        room = max_vertices - k.vertex_count
+        if room < 2:
+            break
+        part = draw(
+            st.one_of(complexes(max_vertices=min(4, room)), spheres(max_vertices=room))
+            .filter(lambda s: s.minimal_non_faces() and s.vertex_count <= room)
+        )
+        k = join_after(k, part)
+    if k.vertex_count < max_vertices and draw(st.booleans()):
+        k = join_after(k, POINT)
+    return k
+
+
+def join_after(k, part):
+    """The join of `k` and `part`, with `part` relabelled past `k`'s vertices."""
+    offset = k.vertex_count
+    return k.join(part.relabel({v: offset + i for i, v in enumerate(part.vertices)}))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_tables(vertices, maximal_faces):
+    """`brute_force_tables`, once per complex."""
+    return brute_force_tables(SimplicialComplex(maximal_faces, vertices=vertices))
+
+
+class TestJoinFactors:
+    """The sweep runs once per join component of the minimal non-faces and
+    convolves; every figure must still match the unfactored oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(joins(), st.data())
+    def test_joins_match_oracle(self, k, data):
+        expected = oracle_tables(k.vertices, k.maximal_faces)
+        for field in BOTH:
+            table = expected[field]
+            total = sum(table.values())
+            bigraded, graded = {}, {}
+            for (size, degree), b in table.items():
+                key = (size - degree - 1, 2 * size)
+                bigraded[key] = bigraded.get(key, 0) + b
+                graded[degree + 1] = graded.get(degree + 1, 0) + b
+            fresh = SimplicialComplex(k.maximal_faces, vertices=k.vertices)
+            assert hochster_total_rank(fresh, field) == total
+            assert bigraded_betti(fresh, field).entries == bigraded
+            assert hochster_graded_ranks(fresh, field) == graded
+            assert homology._sweep_table(fresh, field, fresh.vertex_count) == table
+            bound = data.draw(st.integers(min_value=0, max_value=total + 1))
+            got = hochster_total_rank(k, field, stop_above=bound)
+            if total <= bound:
+                assert got == total
+            else:
+                assert bound < got <= total
+        for field in BOTH:
+            assert hochster_total_rank(k, field) == sum(expected[field].values())
+
+    def test_factors_are_full_subcomplexes(self):
+        parts = [boundary_of_simplex(2), simplex_boundary_on([3, 4]), simplex_boundary_on([6, 7])]
+        k = parts[0].join(parts[1]).join(POINT.relabel({0: 5})).join(parts[2])
+        factors = homology._join_factors(k)
+        assert factors == tuple(parts)
+        for factor in factors:
+            assert factor.minimal_non_faces() == (frozenset(factor.vertices),)
+        assert homology._join_factors(factors[0])[0] is factors[0]
+
+    def test_factors_run_no_dualization(self, monkeypatch):
+        k = join_after(boundary_of_simplex(2).join(simplex_boundary_on([3, 4])), cycle(5))
+        k.minimal_non_faces()
+        calls = []
+        transversals = complexes_module._minimal_transversals
+        monkeypatch.setattr(
+            complexes_module,
+            "_minimal_transversals",
+            lambda edges: calls.append(edges) or transversals(edges),
+        )
+        for field in BOTH:
+            assert hochster_total_rank(k, field) == 2 * 2 * 12
+        assert len(homology._join_factors(k)) == 3
+        assert calls == []
+
+    def test_bounded_pass_stops_on_the_floor_product(self):
+        # the square's floor 4 divides the cycle's bound by 4, so the pass
+        # stops once 4 times the cycle's floor passes the join's bound
+        k = simplex_boundary_on([0, 1]).join(simplex_boundary_on([2, 3]))
+        k = join_after(k, cycle(13))
+        bound = 1 << (k.vertex_count - k.dim - 1)
+        got = hochster_total_rank(k, Field.GF2, stop_above=bound)
+        assert bound < got < 2 * bound
+        assert k._rank_floor == got and k._sweep_tables is None
+
+    @pytest.mark.parametrize("field, exact", [(Field.GF2, 136), (Field.RATIONAL, 128)])
+    def test_bounded_pass_after_torsion_factor(self, field, exact):
+        # RP^2's floor is its rational total 32, not its GF(2) total 34; the
+        # square after it must get the bound divided by 32
+        k = join_after(projective_plane(), cycle(4))
+        assert hochster_total_rank(k, field) == exact
+        for bound in range(exact + 2):
+            TestBoundedTotal.check_bound(k, field, bound)
+
+    @pytest.mark.parametrize("drop", [0, 1, 2])
+    def test_dropped_non_face_raises(self, drop):
+        # without one factor's non-face its vertices look like cone apexes,
+        # and the factors' facets no longer multiply to the join's
+        k = boundary_of_simplex(2).join(simplex_boundary_on([3, 4])).join(
+            simplex_boundary_on([5, 6])
+        )
+        nfs = list(k.minimal_non_faces())
+        del nfs[drop]
+        k._minimal_non_faces = tuple(nfs)
+        for field in BOTH:
+            with pytest.raises(InternalInvariantError):
+                hochster_total_rank(k, field)
+        assert k._sweep_tables is None
+
+    def test_dropped_non_face_raises_in_bounded_pass(self):
+        k = boundary_of_simplex(2).join(simplex_boundary_on([3, 4]))
+        k._minimal_non_faces = k.minimal_non_faces()[:1]
+        with pytest.raises(InternalInvariantError):
+            hochster_rank_criterion(k, Field.GF2)
 
 
 class TestViaDouble:
