@@ -326,7 +326,7 @@ class SimplicialComplex:
         json_object(data, "complex JSON")
         labels = data.get("labels")
         if labels is not None:
-            labels = json_array(data, "labels")
+            labels = json_entries(json_array(data, "labels"), "labels", "string")
         faces = json_arrays(data, "maximal_faces")
         return build_complex(faces, json_integer(data, "m"), labels=labels)
 
@@ -387,6 +387,14 @@ def json_arrays(data: dict, key: str) -> list[list]:
         if not isinstance(row, list) or any(isinstance(x, (list, dict)) for x in row):
             raise InvalidParameterError(f'"{key}" must be an array of flat arrays')
     return value
+
+
+def json_entries(values: list, key: str, kind: str) -> list:
+    """`values`, entries of the array under `key`, each a JSON `kind`."""
+    for x in values:
+        if _json_type(x) != kind:
+            raise InvalidParameterError(f'"{key}" entries must be {kind}s, got {_json_type(x)}')
+    return values
 
 
 # -- constructors -------------------------------------------------------------

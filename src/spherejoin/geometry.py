@@ -2,8 +2,9 @@
 
 Polytopes are given by both an inequality description (inward normals,
 point feasible iff normal . x >= offset) and their vertex list; the two
-are cross-validated exactly over the rationals.  Vertex enumeration from
-inequalities alone is deliberately not implemented.
+are cross-validated exactly: Fractions at the boundary, primitive integer
+rows inside `incidence_from_hv`.  Vertex enumeration from inequalities
+alone is deliberately not implemented.
 
 The non-obtuse dihedral test needs no angles or square roots: for inward
 normals, an angle is non-obtuse exactly when the inner product of the two
@@ -12,7 +13,8 @@ normals is <= 0, which is a sign decision in exact arithmetic.
 
 from __future__ import annotations
 
-import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from .complexes import (
     SimplicialComplex,
     json_array,
     json_arrays,
+    json_entries,
     json_field,
     json_integer,
     json_object,
@@ -30,7 +33,7 @@ from .errors import (
     NotSimpleError,
     RedundantInequalityError,
 )
-from .linalg import fraction_rank
+from .linalg import integer_rank
 from .reports import RecognitionReport
 
 Vector = tuple[Fraction, ...]
@@ -74,10 +77,13 @@ class VertexFacetIncidence:
     @classmethod
     def from_json_dict(cls, data: dict) -> "VertexFacetIncidence":
         json_object(data, "incidence JSON")
+        rows = json_arrays(data, "vertex_facets")
         return cls(
             dim=json_integer(data, "n"),
             facet_count=json_integer(data, "facets"),
-            vertex_facets=tuple(frozenset(s) for s in json_arrays(data, "vertex_facets")),
+            vertex_facets=tuple(
+                frozenset(json_entries(s, "vertex_facets", "integer")) for s in rows
+            ),
         )
 
 
@@ -90,33 +96,19 @@ def check_simple(incidence: VertexFacetIncidence, n: int) -> bool:
     return all(len(s) == n for s in incidence.vertex_facets)
 
 
-def _proportional_positive(a: tuple[Vector, Fraction], b: tuple[Vector, Fraction]) -> bool:
-    na, oa = a
-    nb, ob = b
-    va = tuple(na) + (oa,)
-    vb = tuple(nb) + (ob,)
-    for i in range(len(va)):
-        if (va[i] == 0) != (vb[i] == 0):
-            return False
-    ref = None
-    for i in range(len(va)):
-        if va[i] != 0:
-            r = vb[i] / va[i]
-            if r <= 0:
-                return False
-            if ref is None:
-                ref = r
-            elif r != ref:
-                return False
-    return ref is not None
+def _primitive(values) -> tuple[int, ...]:
+    """The primitive integer vector that is a positive multiple of `values`
+    (Fractions or ints); an all-zero vector stays all zero."""
+    lcm = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (lcm // x.denominator) for x in values]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
-def _affine_rank(points: list[Vector]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return fraction_rank(rows)
+def _affine_rank(points: list[list[int]]) -> int:
+    """Affine rank of the vertices behind homogenized points (v, 1); 0 for at
+    most one point."""
+    return max(integer_rank(points) - 1, 0)
 
 
 def incidence_from_hv(hrep: PolytopeHRep, vrep: PolytopeVRep) -> VertexFacetIncidence:
@@ -127,43 +119,55 @@ def incidence_from_hv(hrep: PolytopeHRep, vrep: PolytopeVRep) -> VertexFacetInci
     each facet's incident vertices affinely span dimension dim-1 (so every
     inequality supports a genuine facet); the vertices affinely span the
     whole space.
+
+    Inequality (normal, offset) becomes the primitive integer row h on
+    (normal, -offset), vertex v the primitive integer point q on (v, 1):
+    v is feasible iff h . q >= 0, tight iff h . q = 0, and two rows are
+    positive multiples iff equal.
     """
     n = hrep.dim
     if vrep.dim != n:
         raise InvalidParameterError(
             f"dimension mismatch: inequalities in R^{n}, vertices in R^{vrep.dim}"
         )
-    for i, j in itertools.combinations(range(len(hrep.inequalities)), 2):
-        if _proportional_positive(hrep.inequalities[i], hrep.inequalities[j]):
-            raise RedundantInequalityError(
-                f"inequalities {i} and {j} are positive multiples"
-            )
+    rows = [_primitive((*normal, -offset)) for normal, offset in hrep.inequalities]
+    # an all-zero row is no positive multiple of anything; among the others
+    # report the pair itertools.combinations would meet first
+    same: dict[tuple[int, ...], list[int]] = {}
+    for i, h in enumerate(rows):
+        if any(h):
+            same.setdefault(h, []).append(i)
+    pairs = [found[:2] for found in same.values() if len(found) > 1]
+    if pairs:
+        i, j = min(pairs)
+        raise RedundantInequalityError(f"inequalities {i} and {j} are positive multiples")
+    points = [list(_primitive((*v, 1))) for v in vrep.vertices]
     vertex_facets = []
-    for vi, v in enumerate(vrep.vertices):
-        tight = set()
-        for fi, (normal, offset) in enumerate(hrep.inequalities):
-            value = _dot(normal, v)
-            if value < offset:
+    for vi, q in enumerate(points):
+        values = [sum(map(operator.mul, h, q)) for h in rows]
+        for fi, value in enumerate(values):
+            if value < 0:
+                normal, offset = hrep.inequalities[fi]
                 raise InfeasibleVertexError(
-                    f"vertex {vi} violates inequality {fi}: {value} < {offset}"
+                    f"vertex {vi} violates inequality {fi}: "
+                    f"{_dot(normal, vrep.vertices[vi])} < {offset}"
                 )
-            if value == offset:
-                tight.add(fi)
+        tight = frozenset(fi for fi, value in enumerate(values) if value == 0)
         if len(tight) != n:
             raise NotSimpleError(
                 f"vertex {vi} lies on {len(tight)} facets, expected {n}"
             )
-        vertex_facets.append(frozenset(tight))
-    if _affine_rank(list(vrep.vertices)) != n:
+        vertex_facets.append(tight)
+    if _affine_rank(points) != n:
         raise RedundantInequalityError("vertex set is not full-dimensional")
-    for fi in range(len(hrep.inequalities)):
-        incident = [v for v, tight in zip(vrep.vertices, vertex_facets) if fi in tight]
+    for fi in range(len(rows)):
+        incident = [q for q, tight in zip(points, vertex_facets) if fi in tight]
         if len(incident) < n or _affine_rank(incident) != n - 1:
             raise RedundantInequalityError(
                 f"inequality {fi} does not support an (n-1)-dimensional facet"
             )
     return VertexFacetIncidence(
-        dim=n, facet_count=len(hrep.inequalities), vertex_facets=tuple(vertex_facets)
+        dim=n, facet_count=len(rows), vertex_facets=tuple(vertex_facets)
     )
 
 

@@ -226,7 +226,7 @@ def _rational_ranks(by_dim: list[list[int]], jmask: int) -> dict[int, int]:
 
 
 def _subset_sweep(
-    complex_: SimplicialComplex, stop_above: int | None = None
+    complex_: SimplicialComplex, stop_above: int | None
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], tuple[int, ...]] | None:
     """Reduced Betti ranks of every full subcomplex K_J, keyed by (|J|, degree),
     from one pass over the subsets J: the GF(2) table, the rational table
@@ -404,10 +404,7 @@ def _sweep_table(
             return None
         factors = _join_factors(complex_)
         if factors == (complex_,):
-            if stop_above is None:
-                tables = _subset_sweep(complex_)
-            else:
-                tables = _subset_sweep(complex_, stop_above)
+            tables = _subset_sweep(complex_, stop_above)
             if tables is None:
                 return None
         else:

@@ -5,9 +5,6 @@ floating point anywhere.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 
 def gf2_rank(rows: list[int]) -> int:
     """Rank over GF(2) of rows given as bitmasks."""
@@ -65,12 +62,3 @@ def integer_rank(rows: list[list[int]]) -> int:
         if pr == nrows:
             break
     return rank
-
-
-def fraction_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix of Fractions, by clearing denominators row by row."""
-    cleared = []
-    for row in rows:
-        lcm = math.lcm(*(Fraction(x).denominator for x in row))
-        cleared.append([int(Fraction(x) * lcm) for x in row])
-    return integer_rank(cleared)

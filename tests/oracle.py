@@ -6,18 +6,25 @@ plain list-of-rows elimination.  Only usable at small sizes.
 
 The criterion references at the end are plain versions of the library's
 criteria: every face enumerated, every link built, every edge found by a
-facet scan, and no memo.
+facet scan, and no memo.  The geometry reference decides incidence over
+Fractions, pair by pair, with affine ranks from sympy.
 """
 
+from fractions import Fraction
 from itertools import chain, combinations
 
 import sympy
 
 from spherejoin import (
+    InfeasibleVertexError,
     InvalidDimensionError,
+    InvalidParameterError,
+    NotSimpleError,
     PreconditionViolatedError,
     PseudomanifoldReport,
     RecognitionReport,
+    RedundantInequalityError,
+    VertexFacetIncidence,
     cycle_length,
 )
 
@@ -299,3 +306,59 @@ def simplex_link_reference(k):
                     },
                 )
     return RecognitionReport("SimplexLink", True)
+
+
+def _proportional_positive(a, b):
+    va = tuple(a[0]) + (a[1],)
+    vb = tuple(b[0]) + (b[1],)
+    if any((x == 0) != (y == 0) for x, y in zip(va, vb)):
+        return False
+    ratios = {Fraction(y) / x for x, y in zip(va, vb) if x != 0}
+    return len(ratios) == 1 and ratios.pop() > 0
+
+
+def _affine_rank(points):
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    return sympy.Matrix([[sympy.Rational(x - b) for x, b in zip(p, base)] for p in points[1:]]).rank()
+
+
+def incidence_from_hv_oracle(hrep, vrep):
+    """Vertex-facet incidence over Fractions: a positive-multiple test per
+    pair of inequalities, a Fraction dot product per vertex and facet, and
+    affine ranks from differences to a base point."""
+    n = hrep.dim
+    if vrep.dim != n:
+        raise InvalidParameterError(
+            f"dimension mismatch: inequalities in R^{n}, vertices in R^{vrep.dim}"
+        )
+    ineqs = hrep.inequalities
+    for i, j in combinations(range(len(ineqs)), 2):
+        if _proportional_positive(ineqs[i], ineqs[j]):
+            raise RedundantInequalityError(f"inequalities {i} and {j} are positive multiples")
+    vertex_facets = []
+    for vi, v in enumerate(vrep.vertices):
+        tight = set()
+        for fi, (normal, offset) in enumerate(ineqs):
+            value = sum((x * y for x, y in zip(normal, v)), Fraction(0))
+            if value < offset:
+                raise InfeasibleVertexError(
+                    f"vertex {vi} violates inequality {fi}: {value} < {offset}"
+                )
+            if value == offset:
+                tight.add(fi)
+        if len(tight) != n:
+            raise NotSimpleError(f"vertex {vi} lies on {len(tight)} facets, expected {n}")
+        vertex_facets.append(frozenset(tight))
+    if _affine_rank(list(vrep.vertices)) != n:
+        raise RedundantInequalityError("vertex set is not full-dimensional")
+    for fi in range(len(ineqs)):
+        incident = [v for v, tight in zip(vrep.vertices, vertex_facets) if fi in tight]
+        if len(incident) < n or _affine_rank(incident) != n - 1:
+            raise RedundantInequalityError(
+                f"inequality {fi} does not support an (n-1)-dimensional facet"
+            )
+    return VertexFacetIncidence(
+        dim=n, facet_count=len(ineqs), vertex_facets=tuple(vertex_facets)
+    )

@@ -125,6 +125,34 @@ class TestRecognize:
         assert not issubclass(InternalInvariantError, SphereJoinError)
 
 
+class TestMalformedEntries:
+    # a wrong entry type inside an array is bad input (exit 2, one stderr
+    # line), never a traceback that --assert would read as exit 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["recognize", "--in", "{}", "--assert"], ["double", "--in", "{}"], ["gen", "double:{}"]],
+    )
+    def test_non_string_labels(self, capsys, tmp_path, argv):
+        path = tmp_path / "labels.json"
+        path.write_text('{"m": 3, "maximal_faces": [[0, 1], [1, 2], [0, 2]], "labels": [1, 2, 3]}')
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == 'error: "labels" entries must be strings, got integer\n'
+
+    @pytest.mark.parametrize("facet, kind", [("true", "boolean"), ("1.0", "number"), ('"1"', "string")])
+    @pytest.mark.parametrize("argv", [["recognize", "--in", "{}", "--assert"], ["gen", "truncate:{},0"]])
+    def test_non_integer_facet_ids(self, capsys, tmp_path, argv, facet, kind):
+        # the square with facet 1 written as something other than an integer
+        path = tmp_path / "square.incidence.json"
+        path.write_text(
+            f'{{"n": 2, "facets": 4, "vertex_facets": [[0, {facet}], [{facet}, 2], [2, 3], [3, 0]]}}'
+        )
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == f'error: "vertex_facets" entries must be integers, got {kind}\n'
+
+
 class TestHrk:
     def test_pentagon_table_value(self, capsys):
         code, out, _ = run(capsys, "hrk", "--gen", "polygon:5", "--field", "both")

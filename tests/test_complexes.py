@@ -444,6 +444,8 @@ class TestSerialization:
             '{"m": 1, "maximal_faces": [[[0]]]}',
             '{"m": 2, "maximal_faces": [[0, 1]], "labels": "ab"}',
             '{"maximal_faces": [[0]]}',
+            '{"m": 2, "maximal_faces": [[0, 1]], "labels": [1, "b"]}',
+            '{"m": 2, "maximal_faces": [[0, 1]], "labels": ["a", ["b"]]}',
         ],
     )
     def test_wrong_shape_rejected(self, text):

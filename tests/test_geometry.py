@@ -2,7 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from oracle import incidence_from_hv_oracle
 from spherejoin import (
     InfeasibleVertexError,
     InvalidParameterError,
@@ -10,6 +12,7 @@ from spherejoin import (
     PolytopeHRep,
     PolytopeVRep,
     RedundantInequalityError,
+    SphereJoinError,
     VertexFacetIncidence,
     boundary_of_simplex,
     check_simple,
@@ -25,6 +28,7 @@ from spherejoin import (
     simplex_boundary_on,
     truncate_all_vertices,
 )
+from spherejoin import geometry, linalg
 from spherejoin.geometry import polytope_from_json_dict, polytope_to_json_dict
 
 F = Fraction
@@ -112,6 +116,125 @@ class TestIncidence:
         for entry in catalog:
             if entry.hrep is not None:
                 assert incidence_from_hv(entry.hrep, entry.vrep) == entry.incidence
+
+
+def _outcome(incidence, h, v):
+    try:
+        return incidence(h, v)
+    except SphereJoinError as err:
+        return type(err), str(err)
+
+
+def _agrees_with_reference(h, v):
+    got = _outcome(incidence_from_hv, h, v)
+    assert got == _outcome(incidence_from_hv_oracle, h, v)
+    return got
+
+
+_BASES = [
+    gen_simplex(1),
+    gen_simplex(3),
+    *(gen_polygon(k) for k in range(3, 9)),
+    gen_product_of_simplices(2, 1),
+    gen_product_of_simplices(1, 1, 1),
+    product_polytope(*gen_polygon(5), *gen_simplex(1)),
+]
+_POSITIVE = st.builds(F, st.integers(1, 30), st.integers(1, 12))
+_NONZERO = st.builds(lambda sign, x: sign * x, st.sampled_from([-1, 1]), _POSITIVE)
+
+
+@st.composite
+def polytope_variants(draw):
+    """A small polytope under a rational change of coordinates x -> c*x + t
+    per axis (mixed denominators), its rows positively rescaled and
+    permuted, and at most one change: rows repeated as positive multiples,
+    rows of zero normal added, a vertex dropped or a drawn point added."""
+    h, v = draw(st.sampled_from(_BASES))
+    n = h.dim
+    c = draw(st.lists(_NONZERO, min_size=n, max_size=n))
+    t = draw(st.lists(st.fractions(-3, 3, max_denominator=12), min_size=n, max_size=n))
+    verts = [tuple(ck * x + tk for ck, x, tk in zip(c, p, t)) for p in v.vertices]
+    ineqs = []
+    for normal, offset in h.inequalities:
+        # a.x >= b iff (a/c).y >= b + (a/c).t for y = c*x + t
+        a = tuple(x / ck for x, ck in zip(normal, c))
+        s = draw(_POSITIVE)
+        ineqs.append((tuple(s * x for x in a), s * (offset + sum(x * tk for x, tk in zip(a, t)))))
+    change = draw(st.sampled_from(["none", "repeat", "zero", "drop", "add"]))
+    if change == "repeat":
+        for i, s in draw(st.lists(st.tuples(st.integers(0, len(ineqs) - 1), _POSITIVE), max_size=2)):
+            ineqs.append((tuple(s * x for x in ineqs[i][0]), s * ineqs[i][1]))
+    elif change == "zero":
+        ineqs += [((F(0),) * n, F(b)) for b in draw(st.lists(st.sampled_from([-1, 0, 1]), max_size=2))]
+    verts = draw(st.permutations(verts))
+    if change == "drop":
+        del verts[draw(st.integers(0, len(verts) - 1))]
+    elif change == "add":
+        verts.append(tuple(draw(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=n, max_size=n))))
+    return (
+        PolytopeHRep(dim=n, inequalities=tuple(draw(st.permutations(ineqs)))),
+        PolytopeVRep(dim=n, vertices=tuple(verts)),
+    )
+
+
+class TestAgainstFractionReference:
+    """`incidence_from_hv` on primitive integer rows against the Fraction
+    reference: the same incidence, or the same error type and message."""
+
+    def test_catalog(self, catalog):
+        for entry in catalog:
+            if entry.hrep is not None:
+                assert _agrees_with_reference(entry.hrep, entry.vrep) == entry.incidence
+
+    @settings(max_examples=150, deadline=None)
+    @given(polytope_variants())
+    def test_variants(self, hv):
+        got = _agrees_with_reference(*hv)
+        event("incidence" if isinstance(got, VertexFacetIncidence) else got[0].__name__)
+
+    def test_first_duplicate_pair_in_combinations_order(self):
+        h, v = unit_square()
+        a, b = h.inequalities[0], h.inequalities[1]
+        rows = (a, (tuple(2 * x for x in b[0]), 2 * b[1]), b, (tuple(F(1, 3) * x for x in a[0]), a[1]))
+        got = _agrees_with_reference(PolytopeHRep(dim=2, inequalities=rows), v)
+        assert got == (RedundantInequalityError, "inequalities 0 and 3 are positive multiples")
+
+    def test_all_zero_rows_are_no_multiples(self):
+        h, v = unit_square()
+        zero = ((F(0), F(0)), F(0))
+        got = _agrees_with_reference(
+            PolytopeHRep(dim=2, inequalities=(zero,) + h.inequalities + (zero,)), v
+        )
+        assert got == (NotSimpleError, "vertex 0 lies on 4 facets, expected 2")
+
+    def test_infeasible_vertex_message(self):
+        h, v = unit_square()
+        bad = PolytopeVRep(dim=2, vertices=v.vertices + ((F(5, 2), F(1, 3)),))
+        got = _agrees_with_reference(h, bad)
+        assert got == (InfeasibleVertexError, "vertex 4 violates inequality 2: -5/2 < -1")
+
+    def test_not_full_dimensional(self):
+        h, _ = unit_square()
+        v = PolytopeVRep(dim=2, vertices=((F(0), F(0)), (F(1), F(1))))
+        got = _agrees_with_reference(h, v)
+        assert got == (RedundantInequalityError, "vertex set is not full-dimensional")
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_vertices(self, n):
+        h = PolytopeHRep(dim=n, inequalities=())
+        _agrees_with_reference(h, PolytopeVRep(dim=n, vertices=()))
+
+    def test_int_coordinates(self):
+        h, v = unit_square()
+        hi = PolytopeHRep(
+            dim=2, inequalities=tuple((tuple(map(int, a)), int(b)) for a, b in h.inequalities)
+        )
+        vi = PolytopeVRep(dim=2, vertices=tuple(tuple(map(int, p)) for p in v.vertices))
+        assert _agrees_with_reference(hi, vi) == incidence_from_hv(h, v)
+
+    def test_one_rational_rank_kernel(self):
+        assert not hasattr(linalg, "fraction_rank")
+        assert not hasattr(geometry, "_proportional_positive")
 
 
 class TestDualComplex:
@@ -312,3 +435,9 @@ class TestIncidenceJson:
     def test_wrong_shape_rejected(self, text):
         with pytest.raises(InvalidParameterError):
             VertexFacetIncidence.from_json_dict(json.loads(text))
+
+    def test_out_of_range_facet_id_unchanged(self):
+        data = incidence_from_hv(*gen_polygon(4)).to_json_dict()
+        data["vertex_facets"][0][1] = 7
+        with pytest.raises(NotSimpleError, match="some facet contains no vertex"):
+            dual_boundary_complex(VertexFacetIncidence.from_json_dict(data))

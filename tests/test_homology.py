@@ -210,7 +210,7 @@ class TestSubsetSweep:
         calls = []
         original = homology._subset_sweep
         monkeypatch.setattr(
-            homology, "_subset_sweep", lambda k: calls.append(k) or original(k)
+            homology, "_subset_sweep", lambda *args: calls.append(args[0]) or original(*args)
         )
         for field in BOTH:
             hochster_total_rank(pentagon, field)
