@@ -573,17 +573,34 @@ class PseudomanifoldReport:
 def is_pseudomanifold(complex_: SimplicialComplex) -> PseudomanifoldReport:
     """Purity, the exactly-two-cofacet ridge condition, and strong connectivity.
 
-    Strong connectivity is union-find over top-dimensional faces sharing a
-    ridge.  Dimension must be at least 1.  No face is enumerated: a face
-    with n vertices either lies in a top face, and is that face minus one
-    vertex, or is itself maximal, so the ridges are the top faces minus one
-    vertex plus the maximal faces with n vertices.
+    A thin wrapper: the test itself is `pseudomanifold_masks`, run on the
+    maximal-face masks, and the violating ridges are turned back into
+    vertex sets here.  Dimension must be at least 1.
     """
     n = complex_.dim
     if n < 1:
         raise InvalidDimensionError(f"pseudomanifold test needs dim >= 1, got {n}")
-    pure = all(len(f) == n + 1 for f in complex_.maximal_faces)
-    masks = complex_._max_masks
+    pure, violations, connected = pseudomanifold_masks(complex_._max_masks, n)
+    return PseudomanifoldReport(
+        dim=n,
+        is_pure=pure,
+        ridge_violations=tuple(complex_._unmask(r) for r in violations),
+        strongly_connected=connected,
+    )
+
+
+def pseudomanifold_masks(masks, n: int) -> tuple[bool, list[int], bool]:
+    """The pseudomanifold test on the maximal-face masks of an n-dimensional
+    complex, n >= 1: (pure, violating ridge masks, strongly connected).
+
+    Violations are sorted by their ascending bit positions, which is the
+    canonical vertex order whenever bit order follows vertex order.  No face
+    is enumerated: a face with n vertices either lies in a top face, and is
+    that face minus one vertex, or is itself maximal, so the ridges are the
+    top faces minus one vertex plus the maximal faces with n vertices.
+    Strong connectivity is union-find over top faces sharing a ridge.
+    """
+    pure = all(fm.bit_count() == n + 1 for fm in masks)
     tops = [fm for fm in masks if fm.bit_count() == n + 1]
     # a maximal ridge lies in no top face, so it keeps no cofacet
     cofacets: dict[int, list[int]] = {fm: [] for fm in masks if fm.bit_count() == n}
@@ -595,7 +612,7 @@ def is_pseudomanifold(complex_: SimplicialComplex) -> PseudomanifoldReport:
             b &= ~low
     violations = sorted(
         (r for r, c in cofacets.items() if len(c) != 2),
-        key=lambda r: tuple(sorted(complex_._unmask(r))),
+        key=lambda r: [i for i in range(r.bit_length()) if r >> i & 1],
     )
     parent = list(range(len(tops)))
 
@@ -611,39 +628,41 @@ def is_pseudomanifold(complex_: SimplicialComplex) -> PseudomanifoldReport:
             if ra != rb:
                 parent[ra] = rb
     connected = len({find(i) for i in range(len(tops))}) <= 1
-    return PseudomanifoldReport(
-        dim=n,
-        is_pure=pure,
-        ridge_violations=tuple(complex_._unmask(r) for r in violations),
-        strongly_connected=connected,
-    )
+    return pure, violations, connected
 
 
 def cycle_length(complex_: SimplicialComplex) -> int | None:
-    """Length of the closed cycle `complex_` is, or None if it is not one."""
-    if complex_.dim != 1:
+    """Length of the closed cycle `complex_` is, or None if it is not one.
+
+    A thin wrapper around `cycle_length_masks` on the maximal-face masks.
+    """
+    return cycle_length_masks(complex_._max_masks)
+
+
+def cycle_length_masks(masks) -> int | None:
+    """Length of the closed cycle whose edges are the given two-bit masks,
+    or None if some mask is not an edge or the edges are not one cycle.
+
+    Every vertex must have exactly two neighbours; the walk from the lowest
+    vertex then closes up, and it is one cycle iff it visits every vertex.
+    """
+    neighbours: dict[int, int] = {}
+    for e in masks:
+        if e.bit_count() != 2:
+            return None
+        low = e & -e
+        high = e ^ low
+        neighbours[low] = neighbours.get(low, 0) | high
+        neighbours[high] = neighbours.get(high, 0) | low
+    if not neighbours or any(b.bit_count() != 2 for b in neighbours.values()):
         return None
-    if not all(len(f) == 2 for f in complex_.maximal_faces):
-        return None
-    degree = {v: 0 for v in complex_.vertices}
-    for e in complex_.maximal_faces:
-        for v in e:
-            degree[v] += 1
-    if any(d != 2 for d in degree.values()):
-        return None
-    if len(complex_.maximal_faces) != len(complex_.vertices):
-        return None
-    # walk the cycle to rule out two disjoint cycles
-    start = complex_.vertices[0]
-    prev, cur = None, start
-    seen = 1
+    start = min(neighbours)
+    prev, cur, length = 0, start, 1
     while True:
-        nxts = [w for e in complex_.maximal_faces if cur in e for w in e if w != cur]
-        nxt = nxts[0] if nxts[0] != prev else nxts[1]
+        nxt = neighbours[cur] & ~prev
+        nxt &= -nxt
         if nxt == start:
             break
         prev, cur = cur, nxt
-        seen += 1
-    if seen != len(complex_.vertices):
-        return None
-    return seen
+        length += 1
+    return length if length == len(neighbours) else None

@@ -363,19 +363,27 @@ def polytope_to_json_dict(hrep: PolytopeHRep, vrep: PolytopeVRep) -> dict:
     }
 
 
+def _json_fraction(x, key: str) -> Fraction:
+    """A polytope JSON coordinate under `key`; a zero denominator is bad input."""
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise InvalidParameterError(f'"{key}" entry {x!r} has a zero denominator') from None
+
+
 def polytope_from_json_dict(data: dict) -> tuple[PolytopeHRep, PolytopeVRep]:
     json_object(data, "polytope JSON")
     dim = json_integer(data, "dim")
     rows = [json_object(row, "an inequality") for row in json_array(data, "inequalities")]
     ineqs = tuple(
         (
-            tuple(Fraction(str(x)) for x in json_array(row, "normal")),
-            Fraction(str(json_field(row, "offset"))),
+            tuple(_json_fraction(x, "normal") for x in json_array(row, "normal")),
+            _json_fraction(json_field(row, "offset"), "offset"),
         )
         for row in rows
     )
     verts = tuple(
-        tuple(Fraction(str(x)) for x in v) for v in json_arrays(data, "vertices")
+        tuple(_json_fraction(x, "vertices") for x in v) for v in json_arrays(data, "vertices")
     )
     for normal, _ in ineqs:
         if len(normal) != dim:

@@ -17,14 +17,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .complexes import (
     Face,
     SimplicialComplex,
     cycle_length,
+    cycle_length_masks,
     double,
     is_pseudomanifold,
-    simplex_boundary_on,
+    pseudomanifold_masks,
 )
 from .errors import (
     CapExceededError,
@@ -62,14 +64,31 @@ class SphereJoinDecomposition:
         return tuple(len(p) - 1 for p in self.parts)
 
     def rebuild(self) -> SimplicialComplex:
-        """The join of the simplex boundaries on the parts, on the same ids."""
-        out = SimplicialComplex([])
-        for p in self.parts:
-            out = out.join(simplex_boundary_on(p))
-        return out
+        """The join of the simplex boundaries on the parts, on the same ids.
+
+        Its maximal faces come from `_join_facet_masks`, the generator
+        `decompose_by_non_faces` certifies against, with vertex i of the
+        sorted vertex list on bit i.
+        """
+        verts = tuple(sorted(v for p in self.parts for v in p))
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        facets = _join_facet_masks([[bit[v] for v in p] for p in self.parts])
+        return SimplicialComplex(
+            [frozenset(v for v in verts if m & bit[v]) for m in facets], vertices=verts
+        )
 
     def to_json_dict(self) -> dict:
         return {"parts": [list(p) for p in self.parts], "dims": list(self.dims)}
+
+
+def _join_facet_masks(parts: list[list[int]]) -> list[int]:
+    """Maximal faces of the join of the simplex boundaries on disjoint
+    parts, each part given by the one-bit masks of its vertices: the union
+    of the parts minus one vertex of each, prod |P_i| distinct masks."""
+    facets = [sum(b for p in parts for b in p)]
+    for p in parts:
+        facets = [f ^ b for f in facets for b in p]
+    return facets
 
 
 def _sorted_parts(parts) -> tuple[tuple[int, ...], ...]:
@@ -87,6 +106,11 @@ def decompose_by_non_faces(
     join rebuilt from them equals the input exactly.  Returns
     ``(decomposition, None)`` on success, ``(None, witness)`` on failure;
     witnesses report the lexicographically first violation.
+
+    The join is rebuilt face for face on the input's own bit masks: its
+    prod |P_i| maximal faces (`_join_facet_masks`) are all distinct, so it
+    equals the input iff the input has that many maximal faces and each
+    generated mask is one of them.  The count is compared first.
     """
     nfs = complex_.minimal_non_faces()
     seen: dict[int, tuple[int, ...]] = {}
@@ -104,7 +128,10 @@ def decompose_by_non_faces(
     if uncovered:
         return None, {"kind": "uncovered_vertices", "vertices": uncovered}
     dec = SphereJoinDecomposition(parts=_sorted_parts(nfs))
-    if dec.rebuild() != complex_:
+    tops = complex_._max_masks
+    if prod(len(p) for p in dec.parts) != len(tops) or not set(tops).issuperset(
+        _join_facet_masks([[1 << complex_._bit[v] for v in p] for p in dec.parts])
+    ):
         return None, {
             "kind": "join_mismatch",
             "parts": [list(p) for p in dec.parts],
@@ -244,34 +271,60 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
     Dimension 0 is grounded at the two-point complex (the boundary of an
     edge), so duals of 1-dimensional polytopes recurse correctly.
 
+    No complex is built below the root.  A link is the list of its
+    maximal-face masks in the root's bit positions: the link of bit b in
+    tops is [t ^ b for t in tops if t & b], again an antichain since the
+    tops are one, and its vertices are the bits of the union of those masks.
+    Witness paths are root vertex ids, and ridge violations are turned
+    back into vertex sets only when a witness is built.
+
     Recognized links are memoized up to order-preserving relabelling: the
-    key is the vertex count with the maximal-face masks, which are taken
-    relative to the link's own sorted vertices, and the verdict does not
-    depend on vertex names.  Only successes are stored; a failure goes
-    straight up to the root, so every witness path is the one first found.
+    key is the vertex count with the masks compressed onto the link's own
+    sorted vertices, and the verdict does not depend on vertex names.  Only
+    successes are stored; a failure goes straight up to the root, so every
+    witness path is the one first found.
     """
+    if complex_.dim < 0:
+        raise InvalidDimensionError("recursive recognition needs dim >= 0")
+    ids = complex_.vertices
     recognized: set[tuple[int, frozenset[int]]] = set()
 
-    def run(k: SimplicialComplex, path: tuple[int, ...]) -> dict | None:
+    def relabelled(tops: list[int], support: int) -> tuple[int, frozenset[int]]:
+        position, b = {}, support
+        while b:
+            low = b & -b
+            position[low] = 1 << len(position)
+            b ^= low
+        out = []
+        for t in tops:
+            c = 0
+            while t:
+                low = t & -t
+                c |= position[low]
+                t ^= low
+            out.append(c)
+        return len(position), frozenset(out)
+
+    def run(tops: list[int], n: int, path: tuple[int, ...]) -> dict | None:
         # returns None on success, a witness dict on failure
-        key = (k.vertex_count, frozenset(k._max_masks))
+        support = 0
+        for t in tops:
+            support |= t
+        key = relabelled(tops, support)
         if key in recognized:
             return None
-        n = k.dim
-        if n < 0:
-            raise InvalidDimensionError("recursive recognition needs dim >= 0")
         if n == 0:
             w = (
                 None
-                if k.vertex_count == 2
+                if key[0] == 2
                 else {
                     "kind": "bad_zero_dim_link",
                     "path": list(path),
-                    "vertex_count": k.vertex_count,
+                    "vertex_count": key[0],
                 }
             )
         elif n == 1:
-            length = cycle_length(k)
+            length = cycle_length_masks(tops)
             if length in (3, 4):
                 w = None
             else:
@@ -281,35 +334,42 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
                     "cycle_length": length,
                 }
         else:
-            rep = is_pseudomanifold(k)
-            if not (rep.is_pure and rep.holds):
+            pure, violations, connected = pseudomanifold_masks(tops, n)
+            if not (pure and not violations and connected):
                 w = {
                     "kind": "not_pseudomanifold",
                     "path": list(path),
-                    "pure": rep.is_pure,
-                    "ridge_violations": [sorted(r) for r in rep.ridge_violations[:3]],
-                    "strongly_connected": rep.strongly_connected,
+                    "pure": pure,
+                    "ridge_violations": [
+                        sorted(complex_._unmask(r)) for r in violations[:3]
+                    ],
+                    "strongly_connected": connected,
                 }
             else:
                 w = None
-                for v in k.vertices:
-                    link = k.link({v})
-                    if link.dim != n - 1:
+                b = support
+                while b:
+                    low = b & -b
+                    b ^= low
+                    v = ids[low.bit_length() - 1]
+                    link = [t ^ low for t in tops if t & low]
+                    link_dim = max(t.bit_count() for t in link) - 1
+                    if link_dim != n - 1:
                         w = {
                             "kind": "link_dimension_drop",
                             "path": list(path + (v,)),
-                            "link_dim": link.dim,
+                            "link_dim": link_dim,
                             "expected": n - 1,
                         }
                         break
-                    w = run(link, path + (v,))
+                    w = run(link, n - 1, path + (v,))
                     if w is not None:
                         break
         if w is None:
             recognized.add(key)
         return w
 
-    witness = run(complex_, ())
+    witness = run(list(complex_._max_masks), complex_.dim, ())
     return RecognitionReport("Recursive", witness is None, witness)
 
 

@@ -6,8 +6,9 @@ plain list-of-rows elimination.  Only usable at small sizes.
 
 The criterion references at the end are plain versions of the library's
 criteria: every face enumerated, every link built, every edge found by a
-facet scan, and no memo.  The geometry reference decides incidence over
-Fractions, pair by pair, with affine ranks from sympy.
+facet scan, every join rebuilt complex by complex, and no memo.  The
+geometry reference decides incidence over Fractions, pair by pair, with
+affine ranks from sympy.
 """
 
 from fractions import Fraction
@@ -24,8 +25,11 @@ from spherejoin import (
     PseudomanifoldReport,
     RecognitionReport,
     RedundantInequalityError,
+    SimplicialComplex,
+    SphereJoinDecomposition,
     VertexFacetIncidence,
     cycle_length,
+    simplex_boundary_on,
 )
 
 
@@ -276,6 +280,30 @@ def recursive_reference(k):
 
     witness = run(k, ())
     return RecognitionReport("Recursive", witness is None, witness)
+
+
+def decompose_by_non_faces_reference(k):
+    """Partition by the minimal non-faces, certified by joining the simplex
+    boundaries on the parts one complex at a time and comparing complexes."""
+    nfs = k.minimal_non_faces()
+    seen = {}
+    for nf in nfs:
+        part = tuple(sorted(nf))
+        for v in part:
+            if v in seen:
+                overlap = [list(seen[v]), list(part)]
+                return None, {"kind": "non_face_overlap", "non_faces": overlap, "vertex": v}
+            seen[v] = part
+    uncovered = sorted(set(k.vertices) - set(seen))
+    if uncovered:
+        return None, {"kind": "uncovered_vertices", "vertices": uncovered}
+    parts = tuple(tuple(sorted(p)) for p in sorted(nfs, key=lambda p: (len(p), min(p))))
+    rebuilt = SimplicialComplex([])
+    for p in parts:
+        rebuilt = rebuilt.join(simplex_boundary_on(p))
+    if rebuilt != k:
+        return None, {"kind": "join_mismatch", "parts": [list(p) for p in parts]}
+    return SphereJoinDecomposition(parts=parts), None
 
 
 def simplex_link_reference(k):

@@ -152,6 +152,25 @@ class TestMalformedEntries:
         assert (code, out) == (2, "")
         assert err == f'error: "vertex_facets" entries must be integers, got {kind}\n'
 
+    @pytest.mark.parametrize(
+        "normal, offset, vertex, key",
+        [
+            ('"1/0"', "0", "0", "normal"),
+            ("1", '"-1/0"', "0", "offset"),
+            ("1", "0", '"0/0"', "vertices"),
+        ],
+    )
+    def test_zero_denominator_coordinates(self, capsys, tmp_path, normal, offset, vertex, key):
+        # the segment 0 <= x <= 1 with one coordinate over a zero denominator
+        path = tmp_path / "segment.json"
+        path.write_text(
+            f'{{"dim": 1, "inequalities": [{{"normal": [{normal}], "offset": {offset}}},'
+            f' {{"normal": [-1], "offset": -1}}], "vertices": [[{vertex}], [1]]}}'
+        )
+        code, out, err = run(capsys, "recognize", "--in", str(path), "--assert")
+        assert (code, out) == (2, "")
+        assert err.startswith(f'error: "{key}" entry') and err.count("\n") == 1
+
 
 class TestHrk:
     def test_pentagon_table_value(self, capsys):

@@ -27,6 +27,7 @@ from spherejoin.complexes import _canonical_faces
 from conftest import complexes, spheres
 from oracle import (
     canonical_faces_oracle,
+    decompose_by_non_faces_reference,
     pseudomanifold_reference,
     recursive_reference,
     simplex_link_reference,
@@ -228,6 +229,26 @@ def test_criteria_match_references(k):
     assert _outcome(check_two_face, k) == _outcome(two_face_reference, k)
     assert _outcome(recognize_recursive, k) == _outcome(recursive_reference, k)
     assert _outcome(is_pseudomanifold, k) == _outcome(pseudomanifold_reference, k)
+
+
+def _certificate_matches_reference(k):
+    dec, witness = decompose_by_non_faces(k)
+    assert (dec, witness) == decompose_by_non_faces_reference(k)
+    if dec is not None:
+        assert dec.rebuild() == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(complexes(max_vertices=7), spheres(), spheres().map(double)))
+def test_join_certificate_matches_reference(k):
+    # the mask certificate against joins of simplex boundaries built as complexes
+    _certificate_matches_reference(k)
+
+
+def test_join_certificate_matches_reference_on_catalog(catalog):
+    for entry in catalog:
+        _certificate_matches_reference(entry.complex)
+        _certificate_matches_reference(double(entry.complex))
 
 
 @st.composite

@@ -3,7 +3,6 @@ import pytest
 from spherejoin import (
     CapExceededError,
     PreconditionViolatedError,
-    PseudomanifoldReport,
     SimplicialComplex,
     boundary_of_simplex,
     build_complex,
@@ -333,9 +332,7 @@ class TestWitnessKinds:
         # the precondition is passed by hand to reach this witness
         k = build_complex([{0, 3}, {1, 2, 3}], 4)
         monkeypatch.setattr(
-            recognition,
-            "is_pseudomanifold",
-            lambda c: PseudomanifoldReport(c.dim, True, (), True),
+            recognition, "pseudomanifold_masks", lambda masks, n: (True, [], True)
         )
         assert recognize_recursive(k).witness == {
             "kind": "link_dimension_drop",
@@ -346,13 +343,13 @@ class TestWitnessKinds:
 
 
 def _count_calls(monkeypatch, method):
-    """Record each call of a SimplicialComplex method, by its argument."""
+    """Record each call of a SimplicialComplex method, by its arguments."""
     calls = []
     original = getattr(SimplicialComplex, method)
 
-    def counted(self, arg):
-        calls.append(arg)
-        return original(self, arg)
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SimplicialComplex, method, counted)
     return calls
@@ -363,10 +360,20 @@ class TestWorkCounts:
     counted in calls rather than timed."""
 
     def test_recursive_memo_up_to_relabelling(self, monkeypatch, product_333):
-        links = _count_calls(monkeypatch, "link")
+        tested = []
+        core = recognition.pseudomanifold_masks
+
+        def counted(masks, n):
+            tested.append(n)
+            return core(masks, n)
+
+        monkeypatch.setattr(recognition, "pseudomanifold_masks", counted)
+        built = _count_calls(monkeypatch, "__init__")
         assert recognize_recursive(product_333).verdict
-        # a memo keyed by exact face sets builds 11,592 links here
-        assert 0 < len(links) <= 11592 // 10
+        # one pseudomanifold test per recognized link class of dimension >= 2
+        assert len(tested) == 36
+        # every link is a list of masks, never a complex
+        assert built == []
 
     def test_two_face_builds_no_link_on_products(self, monkeypatch, catalog, product_333):
         products = [e.complex for e in catalog if e.is_sphere_join] + [product_333]
