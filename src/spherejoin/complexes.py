@@ -69,6 +69,7 @@ class SimplicialComplex:
         "_minimal_non_faces",
         "_sweep_tables",
         "_rank_floor",
+        "_sphere",
         "__weakref__",
     )
 
@@ -122,6 +123,10 @@ class SimplicialComplex:
         # bound on the Hochster total over both fields (the empty J gives 1)
         self._sweep_tables = None
         self._rank_floor = 1
+        # whether the complex is a GF(2) homology sphere: None until the
+        # certificate in homology runs, then a bool, or the complex whose
+        # answer this one shares (a double's input)
+        self._sphere = None
 
     # -- basic protocol ---------------------------------------------------
 
@@ -174,28 +179,15 @@ class SimplicialComplex:
         return max(len(f) for f in self.maximal_faces) - 1
 
     def faces_by_dim(self) -> list[list[int]]:
-        """All faces as bitmasks, grouped by dimension (index d = dimension).
+        """All faces as bitmasks, grouped by dimension (index d = dimension),
+        from `down_closure` of the maximal faces and cached on the complex.
 
-        Built by down-closure: each size level starts with the maximal
-        faces of that size, and every face on a level adds its codimension-1
-        faces to the level below.  A face shared by many maximal faces is
-        therefore expanded once, not once per maximal face.  The empty face
-        is not included.  The output is exponential in the size of the
-        maximal faces; only call this where the face count is moderate.
+        The empty face is not included.  The output is exponential in the
+        size of the maximal faces; only call this where the face count is
+        moderate.
         """
         if self._faces_by_dim is None:
-            levels: list[set[int]] = [set() for _ in range(self.dim + 2)]
-            for fm in self._max_masks:
-                levels[fm.bit_count()].add(fm)
-            for size in range(len(levels) - 1, 1, -1):
-                below = levels[size - 1]
-                for f in levels[size]:
-                    b = f
-                    while b:
-                        low = b & -b
-                        below.add(f ^ low)
-                        b ^= low
-            self._faces_by_dim = [sorted(level) for level in levels[1:]]
+            self._faces_by_dim = down_closure(self._max_masks)
         return self._faces_by_dim
 
     def f_vector(self) -> list[int]:
@@ -521,6 +513,13 @@ def double(complex_: SimplicialComplex) -> SimplicialComplex:
     must be the input itself, and the non-faces must form an antichain.
     Together with the lemma this proves the lifted family is the double's
     minimal non-faces, so it is stored on the result instead of enumerated.
+
+    The double is the simplicial wedge K(2, ..., 2), which is a homology
+    sphere exactly when the input is one (Bahri, Bendersky, Cohen and
+    Gitler, 2015).  So the result shares the input's homology-sphere
+    certificate: its `_sphere` slot points at the input, or copies the
+    input's answer if that is already known.  The certificate is thereby
+    decided at m vertices, lazily, only when a sweep of the double asks.
     """
     verts = complex_.vertices
     m = len(verts)
@@ -547,7 +546,58 @@ def double(complex_: SimplicialComplex) -> SimplicialComplex:
     out._minimal_non_faces = tuple(
         frozenset(t) for t in sorted(tuple(lift(nf)) for nf in non_faces)
     )
+    out._sphere = complex_ if complex_._sphere is None else complex_._sphere
     return out
+
+
+# -- complexes as lists of maximal-face masks -----------------------------------
+
+
+def down_closure(masks) -> list[list[int]]:
+    """All nonempty faces of the complex with the given maximal-face masks,
+    as sorted mask lists indexed by dimension.
+
+    Each size level starts with the maximal faces of that size, and every
+    face on a level adds its codimension-1 faces to the level below.  A
+    face shared by many maximal faces is therefore expanded once, not once
+    per maximal face.
+    """
+    levels: list[set[int]] = [set() for _ in range(max(fm.bit_count() for fm in masks) + 1)]
+    for fm in masks:
+        levels[fm.bit_count()].add(fm)
+    for size in range(len(levels) - 1, 1, -1):
+        below = levels[size - 1]
+        for f in levels[size]:
+            b = f
+            while b:
+                low = b & -b
+                below.add(f ^ low)
+                b ^= low
+    return [sorted(level) for level in levels[1:]]
+
+
+def relabelled_masks(masks, support: int) -> tuple[int, frozenset[int]]:
+    """A key for the complex with the given maximal-face masks up to
+    order-preserving relabelling: its vertex count, the number of bits of
+    `support` (the union of the masks), and the masks compressed onto
+    those bits, the i-th lowest becoming bit i.  Two mask lists get the
+    same key exactly when an order-preserving bijection of their supports
+    carries one onto the other.
+    """
+    position, b = {}, support
+    while b:
+        low = b & -b
+        position[low] = 1 << len(position)
+        b ^= low
+    out = []
+    for t in masks:
+        c = 0
+        while t:
+            low = t & -t
+            c |= position[low]
+            t ^= low
+        out.append(c)
+    return len(position), frozenset(out)
 
 
 # -- pseudomanifold test -------------------------------------------------------

@@ -41,6 +41,15 @@ instead of 2^m, taking its minimal non-faces from the complex's cached
 list.  The double of a join is the join of the doubles, so doubled sweeps
 factor too.
 
+On a homology sphere the sweep halves by Alexander duality.  If K is a
+GF(2) homology d-sphere on m vertices, hence a rational one as well, the
+restrictions to J and to its complement V - J have the same ranks in
+degrees i and d-1-i, so only J with |J| <= m/2 (one of each complementary
+pair) is visited and its row is credited to both.  The certificate is
+exact and runs on maximal-face masks (`_certify_sphere`); a double and
+the join factors of a sphere inherit it instead of recomputing it, and a
+complex without it is swept in full.
+
 The tables are cached on the complex itself, so every public function and
 both fields share one sweep, and a long-running process holds no table of
 a complex it has dropped.
@@ -50,7 +59,7 @@ pass keeps a floor: 1 for the empty J plus the ranks of the restrictions
 the parity argument certifies, which are the same over GF(2) and over Q.
 Every term of either total is a nonnegative rank, so the floor is a lower
 bound on both, and once it passes 2^(m - dim K - 1) both criteria answer
-no and the pass stops.  Restrictions the certificate leaves open are never
+no and the pass stops.  Restrictions the parity argument leaves open are never
 eliminated by a bounded pass; torsion can make their GF(2) ranks larger,
 so they do not count towards the floor.  Totals multiply over join
 factors, so the product of the finished factors' floors and the running
@@ -75,7 +84,7 @@ from array import array
 from dataclasses import dataclass
 from math import prod
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, cycle_length_masks, down_closure, relabelled_masks
 from .errors import CapExceededError, InternalInvariantError, InvalidDimensionError
 from .linalg import gf2_rank, integer_rank
 
@@ -225,6 +234,95 @@ def _rational_ranks(by_dim: list[list[int]], jmask: int) -> dict[int, int]:
     return _reduced_from_masks(sub, Field.RATIONAL)
 
 
+def _certify_sphere(complex_: SimplicialComplex) -> bool:
+    """True iff `complex_` is a GF(2) homology sphere, decided exactly on
+    its maximal-face masks.
+
+    A complex is a GF(2) homology d-sphere when it is pure of dimension d
+    and either d = 0 and it has exactly two vertices, or d >= 1, the link
+    of every vertex is a homology (d-1)-sphere, and its reduced GF(2)
+    homology is that of the d-sphere: rank 1 in degree d, 0 elsewhere.  At
+    d = 1 that is one cycle.  The link of bit b in the maximal faces tops
+    is [t ^ b for t in tops if t & b], as in Recursive.  Links of
+    dimension 2 and up are memoized up to order-preserving relabelling by
+    the key of `relabelled_masks`, since the answer does not depend on
+    vertex names; a simplex boundary, a point pair or a cycle is checked
+    directly, which costs less than its key.  The boundary ranks are GF(2) ranks of bitset rows;
+    nothing is eliminated over Q.
+
+    One certificate serves both fields: by universal coefficients a GF(2)
+    homology sphere, and each of its links, can carry only odd torsion,
+    which leaves the rational homology that of a sphere too.
+    """
+    memo: dict[tuple[int, frozenset[int]], bool] = {}
+
+    def sphere(tops: list[int], d: int, faces=down_closure) -> bool:
+        if any(t.bit_count() != d + 1 for t in tops):
+            return False
+        support = 0
+        for t in tops:
+            support |= t
+        if d == 0 or support.bit_count() <= d + 2:
+            # a d-sphere has at least d + 2 vertices, and with d + 2 it is a
+            # simplex boundary: all d + 2 of their d-faces (at d = 0, a point pair)
+            return len(tops) == d + 2 == support.bit_count()
+        if d == 1:
+            return cycle_length_masks(tops) is not None
+        key = relabelled_masks(tops, support)
+        known = memo.get(key)
+        if known is None:
+            known = all(
+                sphere([t ^ b for t in tops if t & b], d - 1) for b in _bits(support)
+            ) and _sphere_homology(faces(tops), d)
+            memo[key] = known
+        return known
+
+    # the sweep needs the complex's own faces anyway, so they come from its cache
+    return complex_.dim >= 0 and sphere(
+        list(complex_._max_masks), complex_.dim, lambda _: complex_.faces_by_dim()
+    )
+
+
+def _bits(mask: int):
+    """The one-bit masks of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _sphere_homology(by_dim: list[list[int]], d: int) -> bool:
+    """True iff the faces `by_dim` of a nonempty d-dimensional complex have
+    the reduced GF(2) homology of the d-sphere."""
+    # the augmentation of a nonempty complex has rank 1
+    ranks = [1, *(_boundary_rank(by_dim[k - 1], by_dim[k], Field.GF2) for k in range(1, d + 1)), 0]
+    return all(len(by_dim[k]) - ranks[k] - ranks[k + 1] == (k == d) for k in range(d + 1))
+
+
+def _is_sphere(complex_: SimplicialComplex) -> bool:
+    """The homology-sphere certificate of `complex_`, computed once and kept
+    in its `_sphere` slot.  A double's slot names its input, and is
+    resolved on the input at m vertices (`double`)."""
+    known = complex_._sphere
+    if isinstance(known, SimplicialComplex):
+        known = _is_sphere(known)
+    elif known is None:
+        known = _certify_sphere(complex_)
+    complex_._sphere = known
+    return known
+
+
+def _with_duals(table: dict[tuple[int, int], int], m: int, d: int) -> dict[tuple[int, int], int]:
+    """`table`, the rows of some restrictions K_J of a homology d-sphere on
+    m vertices, plus the row of each one's complement: by Alexander
+    duality K_{V-J} has in degree d-1-i the rank K_J has in degree i."""
+    out = dict(table)
+    for (size, i), b in table.items():
+        key = (m - size, d - 1 - i)
+        out[key] = out.get(key, 0) + b
+    return out
+
+
 def _subset_sweep(
     complex_: SimplicialComplex, stop_above: int | None
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], tuple[int, ...]] | None:
@@ -255,29 +353,48 @@ def _subset_sweep(
     elimination, only when the rational table is asked for.  The pass
     itself never eliminates.
 
+    Alexander duality halves the pass on a homology sphere.  When
+    `_is_sphere` certifies K as a GF(2) homology d-sphere on m vertices,
+    which makes it a rational one too, beta_i(K_J) = beta_{d-1-i}(K_{V-J})
+    over both fields.  The pass then visits only the J with 2|J| < m, and
+    the J with 2|J| = m that lack the top vertex bit, so exactly one of J
+    and V - J, and at the end adds to each table its dual (`_with_duals`):
+    each visited J's row, dualized, as the row of V - J, and (m, d): 1 for
+    K itself, the complement of the empty J.  A skipped cone J needs no
+    dual row: K_J is acyclic, so K_{V-J} is too.  The parity test gives J
+    and V - J the same answer, since duality shifts every degree by the
+    same amount, so an open J stands for both, and `_sweep_table` dualizes
+    its rational row rather than eliminate the larger complement.  A
+    complex without the certificate visits every subset.
+
     With `stop_above`, the pass keeps the floor: 1 for the empty J plus the
-    ranks of the certified restrictions, whose GF(2) and Q ranks are
-    equal.  The floor is a lower bound on both fields' totals, so once it
-    exceeds the bound the pass stores it on the complex as `_rank_floor`
-    and returns None.
+    ranks of the restrictions the parity test certifies, whose GF(2) and Q
+    ranks are equal; on a sphere it adds each visited J's ranks twice, once
+    for J and once for V - J, and starts at 2.  The floor is a lower bound
+    on both fields' totals, so once it exceeds the bound the pass stores it
+    on the complex as `_rank_floor` and returns None.
     """
     by_dim = complex_.faces_by_dim()
-    inside = _non_faces_inside(
-        complex_.vertex_count, [complex_._mask(nf) for nf in complex_.minimal_non_faces()]
-    )
+    m = complex_.vertex_count
+    inside = _non_faces_inside(m, [complex_._mask(nf) for nf in complex_.minimal_non_faces()])
     upper = []
     for d in range(1, len(by_dim)):
-        index = {m: i for i, m in enumerate(by_dim[d - 1])}
+        index = {f: i for i, f in enumerate(by_dim[d - 1])}
         upper.append([(f, _boundary_row(f, index)) for f in by_dim[d]])
+    sphere = _is_sphere(complex_)
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
     rational = dict(gf2)
     uncertified = []
-    floor = 1
+    # the empty J, and on a sphere its complement, K itself
+    floor = 2 if sphere else 1
+    top = (1 << m) >> 1  # the top vertex bit
     for jmask in range(1, len(inside)):
         if inside[jmask] != jmask:
             continue
-        notj = ~jmask
         size = jmask.bit_count()
+        if sphere and (2 * size > m or (2 * size == m and jmask & top)):
+            continue
+        notj = ~jmask
         # the augmentation of a nonempty J has rank 1
         betti = [size - 1]
         for faces in upper:
@@ -297,10 +414,13 @@ def _subset_sweep(
         if not certified:
             uncertified.append(jmask)
         elif stop_above is not None:
-            floor += sum(betti)
+            floor += (2 if sphere else 1) * sum(betti)
             if floor > stop_above:
                 complex_._rank_floor = floor
                 return None
+    if sphere:
+        gf2 = _with_duals(gf2, m, complex_.dim)
+        rational = _with_duals(rational, m, complex_.dim)
     return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
 
 
@@ -319,6 +439,15 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     has as many maximal faces as the product of its factors' counts (a
     simplex has one); a complex that has a different count was given a
     wrong list of minimal non-faces, and raises rather than sweep wrongly.
+
+    A complex whose homology-sphere certificate is already settled, or is
+    inherited (a double's), passes its answer to every factor.  Every join
+    factor of a sphere is a sphere: in A * B the link of alpha joined with
+    a maximal face of B is the link of alpha in A.  Factors of a complex
+    that is not a sphere are swept in full, as it would be, so a double
+    never certifies anything at its own 2m vertices.  A complex whose
+    certificate nobody has asked for leaves it to each factor, which
+    certifies itself, on its own vertices, when it is swept.
     """
     non_faces = complex_.minimal_non_faces()
     components: list[int] = []
@@ -333,11 +462,13 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
         components = [*rest, merged]
     if components == [complex_._full_mask]:
         return (complex_,)
+    sphere = None if complex_._sphere is None else _is_sphere(complex_)
     factors = []
     for c in sorted(components, key=lambda c: c & -c):
         verts = complex_._unmask(c)
         factor = SimplicialComplex([f & verts for f in complex_.maximal_faces], vertices=verts)
         factor._minimal_non_faces = tuple(nf for nf in non_faces if nf <= verts)
+        factor._sphere = sphere
         factors.append(factor)
     if prod(len(f.maximal_faces) for f in factors) != len(complex_.maximal_faces):
         raise InternalInvariantError(
@@ -393,7 +524,12 @@ def _sweep_table(
 
     The cache is (GF(2) table, rational table, what the rational table
     still needs): a single sweep keeps its certified rational table and the
-    subsets left open, a join keeps no rational table and its factors.
+    subsets left open, a join keeps no rational table and its factors.  On
+    a certified homology sphere an open subset J also stands for V - J: its
+    rational row is credited to both, dualized for V - J, so the larger
+    restriction is never eliminated.  Which factors are certified is
+    settled by `_join_factors` and `_subset_sweep`; no knob turns duality
+    on or off.
     """
     if complex_.vertex_count > cap:
         raise CapExceededError(
@@ -429,11 +565,18 @@ def _sweep_table(
         # a fresh table, swapped in whole, so concurrent callers never add twice
         rational = dict(rational)
         by_dim = complex_.faces_by_dim()
+        opened: dict[tuple[int, int], int] = {}
         for jmask in pending:
             for d, b in _rational_ranks(by_dim, jmask).items():
                 if b:
                     key = (jmask.bit_count(), d)
-                    rational[key] = rational.get(key, 0) + b
+                    opened[key] = opened.get(key, 0) + b
+        if complex_._sphere:
+            # the sweep resolved the certificate: an open J stands for its
+            # complement too, which is never eliminated
+            opened = _with_duals(opened, complex_.vertex_count, complex_.dim)
+        for key, b in opened.items():
+            rational[key] = rational.get(key, 0) + b
         rational = dict(sorted(rational.items()))
     complex_._sweep_tables = (gf2, rational, ())
     return rational

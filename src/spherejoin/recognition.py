@@ -27,6 +27,7 @@ from .complexes import (
     double,
     is_pseudomanifold,
     pseudomanifold_masks,
+    relabelled_masks,
 )
 from .errors import (
     CapExceededError,
@@ -278,39 +279,22 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
     Witness paths are root vertex ids, and ridge violations are turned
     back into vertex sets only when a witness is built.
 
-    Recognized links are memoized up to order-preserving relabelling: the
-    key is the vertex count with the masks compressed onto the link's own
-    sorted vertices, and the verdict does not depend on vertex names.  Only
-    successes are stored; a failure goes straight up to the root, so every
-    witness path is the one first found.
+    Recognized links are memoized up to order-preserving relabelling, by
+    the key of `relabelled_masks`: the verdict does not depend on vertex
+    names.  Only successes are stored; a failure goes straight up to the
+    root, so every witness path is the one first found.
     """
     if complex_.dim < 0:
         raise InvalidDimensionError("recursive recognition needs dim >= 0")
     ids = complex_.vertices
     recognized: set[tuple[int, frozenset[int]]] = set()
 
-    def relabelled(tops: list[int], support: int) -> tuple[int, frozenset[int]]:
-        position, b = {}, support
-        while b:
-            low = b & -b
-            position[low] = 1 << len(position)
-            b ^= low
-        out = []
-        for t in tops:
-            c = 0
-            while t:
-                low = t & -t
-                c |= position[low]
-                t ^= low
-            out.append(c)
-        return len(position), frozenset(out)
-
     def run(tops: list[int], n: int, path: tuple[int, ...]) -> dict | None:
         # returns None on success, a witness dict on failure
         support = 0
         for t in tops:
             support |= t
-        key = relabelled(tops, support)
+        key = relabelled_masks(tops, support)
         if key in recognized:
             return None
         if n == 0:

@@ -16,6 +16,7 @@ from spherejoin import (
     boundary_of_simplex,
     build_complex,
     check_rank_lower_bounds,
+    double,
     gen_polygon,
     gluing_euler_characteristic,
     hochster_graded_ranks,
@@ -31,7 +32,7 @@ from spherejoin import (
 from spherejoin import complexes as complexes_module
 from spherejoin import homology
 
-from conftest import complexes, cycle, spheres
+from conftest import complexes, cycle, pinched_octahedron, spheres
 from oracle import has_cone_apex_oracle, hochster_total_oracle, reduced_betti_oracle
 
 BOTH = (Field.GF2, Field.RATIONAL)
@@ -539,6 +540,184 @@ class TestJoinFactors:
         k._minimal_non_faces = k.minimal_non_faces()[:1]
         with pytest.raises(InternalInvariantError):
             hochster_rank_criterion(k, Field.GF2)
+
+
+def torus():
+    """The 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
+    return build_complex(
+        [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
+        + [{i, (i + 2) % 7, (i + 3) % 7} for i in range(7)],
+        7,
+    )
+
+
+def copy_of(k, sphere):
+    """A fresh copy of `k`, with nothing swept, whose `_sphere` slot holds
+    `sphere`; False makes the sweep visit every subset."""
+    out = SimplicialComplex(k.maximal_faces, vertices=k.vertices)
+    out._sphere = sphere
+    return out
+
+
+class TestSphereCertificate:
+    """`_certify_sphere` accepts exactly the GF(2) homology spheres, and a
+    double or a join factor inherits the answer instead of recomputing it."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [boundary_of_simplex(d) for d in range(1, 6)]
+        + [cycle(n) for n in range(3, 9)]
+        + [
+            boundary_of_simplex(3).stellar_subdivide({0, 1, 2}),
+            boundary_of_simplex(2).join(cycle(5).relabel({v: v + 3 for v in range(5)})),
+            cycle(4).join(cycle(6).relabel({v: v + 4 for v in range(6)})),
+        ],
+    )
+    def test_accepts_spheres(self, k):
+        assert homology._certify_sphere(k)
+
+    def test_accepts_catalog_and_joins(self, catalog):
+        entries = [entry.complex for entry in catalog]
+        for k in entries:
+            assert homology._certify_sphere(copy_of(k, None)), k
+        small = [k for k in entries if k.vertex_count <= 5]
+        for a, b in combinations(small, 2):
+            assert homology._certify_sphere(join_after(a, b))
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            projective_plane(),
+            torus(),
+            pinched_octahedron(),
+            SimplicialComplex([{0, 1, 2}]),  # a simplex
+            SimplicialComplex([{0}]),
+            SimplicialComplex([]),  # the empty complex
+            build_complex([{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}], 6),
+            build_complex([{0, 1, 2}, {2, 3}, {3, 0}], 4),  # not pure
+            build_complex([{0}, {1}, {2}], 3),  # three points
+            build_complex([{0, 1}, {1, 2}], 3),  # a path
+            build_complex([{0, 1, 2}, {0, 1, 3}, {0, 2, 3}], 4),  # a disk
+        ],
+    )
+    def test_refuses_non_spheres(self, k):
+        assert not homology._certify_sphere(k)
+
+    def test_doubles_inherit_what_they_would_compute(self, catalog):
+        # the double is a sphere iff its input is, whichever way it is decided
+        inputs = [entry.complex for entry in catalog] + [
+            projective_plane(),
+            SimplicialComplex([{0, 1, 2}]),
+            build_complex([{0, 1, 2}, {2, 3}, {3, 0}], 4),
+            build_complex([{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}], 6),
+        ]
+        for k in inputs:
+            if 2 * k.vertex_count > 12:
+                continue
+            expected = homology._certify_sphere(k)
+            inherited = double(copy_of(k, None))
+            assert inherited._sphere is not None
+            assert homology._is_sphere(inherited) is expected
+            assert homology._certify_sphere(double(k)) is expected, k
+
+    @pytest.mark.parametrize("field", BOTH)
+    def test_via_double_certifies_at_m_vertices(self, monkeypatch, catalog, field):
+        inputs = [entry.complex for entry in catalog] + [
+            join_after(cycle(5), POINT),  # a cone: no sphere, but a sphere factor
+        ]
+        if field is Field.GF2:
+            # over Q its double needs a slow elimination of all 12 vertices
+            inputs.append(projective_plane())
+        certified = spy(monkeypatch, "_certify_sphere")
+        for k in inputs:
+            if 2 * k.vertex_count > 14:
+                continue
+            k = copy_of(k, None)
+            certified.clear()
+            hochster_rank_via_double(k, field)
+            assert certified == [k]
+
+    def test_join_factors_inherit(self):
+        k = boundary_of_simplex(2).join(cycle(5).relabel({v: v + 3 for v in range(5)}))
+        for sphere in (None, True, False):
+            factors = homology._join_factors(copy_of(k, sphere))
+            assert len(factors) == 2
+            assert all(f._sphere is sphere for f in factors)
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            cycle(8),
+            cycle(9),
+            boundary_of_simplex(3).stellar_subdivide({0, 1, 2}),
+            projective_plane(),
+        ],
+    )
+    def test_visited_subsets(self, monkeypatch, k):
+        # a sphere's pass visits one of J and V - J, and only the one
+        # without the top vertex bit when they are the same size; without
+        # the certificate every subset that is not a cone is visited.  A
+        # visited J makes one GF(2) rank per dimension of K_J from 1 up
+        m = k.vertex_count
+        inside = homology._non_faces_inside(m, [k._mask(nf) for nf in k.minimal_non_faces()])
+        non_cone = [j for j in range(1, 1 << m) if inside[j] == j]
+        half = [
+            j for j in non_cone
+            if 2 * j.bit_count() < m or (2 * j.bit_count() == m and not j >> (m - 1) & 1)
+        ]
+
+        def ranks(subsets):
+            return sum(max(0, max((t & j).bit_count() for t in k._max_masks) - 1) for j in subsets)
+
+        ranked = []
+        original = homology.gf2_rank
+        monkeypatch.setattr(
+            homology, "gf2_rank", lambda rows: ranked.append(rows) or original(rows)
+        )
+        for sphere in (False, homology._certify_sphere(k)):
+            copy = copy_of(k, sphere)
+            ranked.clear()
+            homology._subset_sweep(copy, None)
+            assert len(ranked) == ranks(half if sphere else non_cone)
+
+
+class TestAlexanderDuality:
+    """On a certified sphere the sweep visits about half the subsets and
+    credits each to its complement; every figure must stay the same."""
+
+    # The brute-force reference ranks every restriction over Q with sympy,
+    # about 10 ms per face of K at m = 8; it runs on complexes up to this
+    # many faces.  Every complex is compared with the sweep that visits
+    # every subset, which the tests above hold to that reference.
+    ORACLE_FACES = 50
+
+    @classmethod
+    def check(cls, k):
+        plain = copy_of(k, False)
+        tables = sweep_tables(k)
+        assert tables == sweep_tables(plain)
+        if k.vertex_count <= 8 and sum(k.f_vector()) <= cls.ORACLE_FACES:
+            assert tables == oracle_tables(k.vertices, k.maximal_faces)
+        for field in BOTH:
+            assert hochster_rank_criterion(copy_of(k, k._sphere), field) == (
+                hochster_rank_criterion(copy_of(k, False), field)
+            )
+            assert hochster_graded_ranks(k, field) == hochster_graded_ranks(plain, field)
+            assert bigraded_betti(k, field).entries == bigraded_betti(plain, field).entries
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(spheres(), complexes()))
+    def test_random_complexes(self, k):
+        self.check(k)
+
+    def test_catalog_and_projective_plane(self, catalog):
+        for k in [entry.complex for entry in catalog] + [projective_plane()]:
+            self.check(copy_of(k, None))
+
+    def test_doubles_of_catalog(self, catalog):
+        for entry in catalog:
+            if 2 * entry.complex.vertex_count <= 14:
+                self.check(double(copy_of(entry.complex, None)))
 
 
 class TestViaDouble:
