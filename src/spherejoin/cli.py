@@ -70,23 +70,25 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _incidence_bundle(inc: VertexFacetIncidence) -> dict:
+    """An incidence and its dual boundary complex."""
+    return {"incidence": inc, "complex": dual_boundary_complex(inc)}
+
+
+def _polytope_bundle(hrep, vrep) -> dict:
+    """A polytope's two representations, its incidence and dual complex."""
+    return {"hrep": hrep, "vrep": vrep, **_incidence_bundle(incidence_from_hv(hrep, vrep))}
+
+
 def _bundle_from_json(data: dict) -> dict:
     """Detect the payload kind by its keys and derive what follows from it."""
     json_object(data, "input")
     if "maximal_faces" in data:
         return {"complex": SimplicialComplex.from_json_dict(data)}
     if "inequalities" in data and "vertices" in data:
-        hrep, vrep = polytope_from_json_dict(data)
-        inc = incidence_from_hv(hrep, vrep)
-        return {
-            "hrep": hrep,
-            "vrep": vrep,
-            "incidence": inc,
-            "complex": dual_boundary_complex(inc),
-        }
+        return _polytope_bundle(*polytope_from_json_dict(data))
     if "vertex_facets" in data:
-        inc = VertexFacetIncidence.from_json_dict(data)
-        return {"incidence": inc, "complex": dual_boundary_complex(inc)}
+        return _incidence_bundle(VertexFacetIncidence.from_json_dict(data))
     raise InvalidParameterError(
         "unrecognized input: expected complex, polytope, or incidence JSON"
     )
@@ -126,8 +128,7 @@ def _bundle_from_generator(spec: str) -> dict:
         bundle = _bundle_from_json(_load_json(path))
         if "incidence" not in bundle:
             raise InvalidParameterError("truncate input must carry incidence data")
-        inc = gen_truncated(bundle["incidence"], int(vertex))
-        return {"incidence": inc, "complex": dual_boundary_complex(inc)}
+        return _incidence_bundle(gen_truncated(bundle["incidence"], int(vertex)))
     elif kind == "double":
         bundle = _bundle_from_json(_load_json(arg))
         return {"complex": double(bundle["complex"])}
@@ -142,13 +143,7 @@ def _bundle_from_generator(spec: str) -> dict:
         return {"complex": ka.join(kb)}
     else:
         raise InvalidParameterError(f"unknown generator {kind!r}")
-    inc = incidence_from_hv(hrep, vrep)
-    return {
-        "hrep": hrep,
-        "vrep": vrep,
-        "incidence": inc,
-        "complex": dual_boundary_complex(inc),
-    }
+    return _polytope_bundle(hrep, vrep)
 
 
 def _resolve_input(args) -> dict:
@@ -226,8 +221,7 @@ def _cmd_gen(args) -> int:
     if args.json:
         for kind, data in sorted(pieces.items()):
             path = f"{args.json}.{kind}.json"
-            with open(path, "w") as fh:
-                fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+            _dump(data, path)
             if not args.quiet:
                 print(path)
     else:

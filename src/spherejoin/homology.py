@@ -50,6 +50,15 @@ exact and runs on maximal-face masks (`_certify_sphere`); a double and
 the join factors of a sphere inherit it instead of recomputing it, and a
 complex without it is swept in full.
 
+The reduced Betti numbers of a full subcomplex K_J have one kernel per
+field, and everything above goes through them.  `_gf2_betti` ranks the
+GF(2) boundary rows that `_boundary_rows` builds once per complex, keeping
+those of faces inside J; `_rational_betti` ranks signed integer rows over
+the faces of K_J by fraction-free elimination.  The sweep, the sphere
+certificate and `reduced_betti` share the GF(2) kernel; the rational one
+runs only for `reduced_betti` and for the restrictions the parity test
+leaves open.  The certificate never eliminates over Q.
+
 The tables are cached on the complex itself, so every public function and
 both fields share one sweep, and a long-running process holds no table of
 a complex it has dropped.
@@ -67,9 +76,9 @@ factor's floor is a floor on the whole total; the pass runs the factors in
 turn and stops once that product passes the bound.  A pass that stops
 leaves its floor on the complex and caches no table, so the cached tables
 are always complete, and a later bounded call below that floor, over
-either field, reads it without sweeping.  A bounded total is therefore exact up to the
-bound and only a lower bound past it.  Totals reported to the user (`hrk`,
-`betti`, `crosscheck`) are never bounded.
+either field, reads it without sweeping.  A bounded total is therefore
+exact up to the bound and only a lower bound past it.  Totals reported to
+the user (`hrk`, `betti`, `crosscheck`) are never bounded.
 
 All arithmetic is exact: GF(2) uses bitset elimination, rational ranks use
 fraction-free integer elimination.  Sweeps are pure functions of immutable
@@ -132,67 +141,81 @@ class BigradedBettiTable:
 # -- core engine ---------------------------------------------------------------
 
 
-def _boundary_row(face: int, index: dict[int, int]) -> int:
-    """GF(2) boundary of a face bitmask, as a bitmask over `index` positions."""
-    row = 0
-    b = face
-    while b:
-        low = b & -b
-        row |= 1 << index[face & ~low]
-        b &= ~low
-    return row
-
-
-def _boundary_rank(lower: list[int], upper: list[int], field: Field) -> int:
-    """Rank of the boundary map from the faces in `upper` to those in `lower`.
-
-    Faces are bitmasks; the rank of a matrix equals the rank of its
-    transpose, so rows are indexed by the upper faces.
-    """
-    if not upper or not lower:
-        return 0
-    index = {m: i for i, m in enumerate(lower)}
-    if field is Field.GF2:
-        return gf2_rank([_boundary_row(f, index) for f in upper])
-    rows = []
-    width = len(lower)
-    for f in upper:
-        row = [0] * width
-        sign = 1
-        b = f
-        while b:
-            low = b & -b
-            row[index[f & ~low]] = sign
-            sign = -sign
-            b &= ~low
-        rows.append(row)
-    return integer_rank(rows)
-
-
-def _reduced_from_masks(by_dim: list[list[int]], field: Field) -> dict[int, int]:
-    """Reduced Betti numbers from per-dimension face mask lists.
-
-    Uses the augmented chain complex: the augmentation has rank 1 whenever
-    there is a vertex, which makes degree -1 carry rank 1 exactly for the
-    empty complex.
-    """
-    while by_dim and not by_dim[-1]:
-        by_dim = by_dim[:-1]
-    top = len(by_dim) - 1
-    f = [len(lst) for lst in by_dim]
-    ranks = [1 if (f and f[0]) else 0]
-    for d in range(1, top + 1):
-        ranks.append(_boundary_rank(by_dim[d - 1], by_dim[d], field))
-    ranks.append(0)
-    out = {-1: 1 - ranks[0]}
-    for d in range(top + 1):
-        out[d] = f[d] - ranks[d] - ranks[d + 1]
+def _boundary_rows(by_dim: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Per dimension d >= 1, the pairs (face, GF(2) boundary row) of the
+    d-faces in `by_dim`; a row is a bitmask over the positions of the
+    (d-1)-faces.  A face's boundary lies in every full subcomplex that holds
+    the face, so the rows serve every restriction (`_gf2_betti`)."""
+    out = []
+    for lower, upper in zip(by_dim, by_dim[1:]):
+        index = {f: i for i, f in enumerate(lower)}
+        faces = []
+        for f in upper:
+            row, b = 0, f
+            while b:
+                low = b & -b
+                row |= 1 << index[f ^ low]
+                b ^= low
+            faces.append((f, row))
+        out.append(faces)
     return out
 
 
+def _gf2_betti(rows: list[list[tuple[int, int]]], jmask: int) -> list[int]:
+    """Reduced GF(2) Betti numbers [b_0, b_1, ...] of the restriction to the
+    nonempty vertex set `jmask`, from `_boundary_rows` of the complex; the
+    list ends at the top dimension of the restriction."""
+    notj = ~jmask
+    # the augmentation of a nonempty J has rank 1
+    betti = [jmask.bit_count() - 1]
+    for faces in rows:
+        sub = [row for f, row in faces if not f & notj]
+        if not sub:
+            break
+        rank = gf2_rank(sub)
+        betti[-1] -= rank
+        betti.append(len(sub) - rank)
+    return betti
+
+
+def _rational_betti(by_dim: list[list[int]], jmask: int) -> list[int]:
+    """`_gf2_betti` over Q: signed boundary rows over the faces of the
+    restriction to `jmask`, ranked by fraction-free elimination."""
+    notj = ~jmask
+    lower = [f for f in by_dim[0] if not f & notj]
+    betti = [jmask.bit_count() - 1]
+    for faces in by_dim[1:]:
+        upper = [f for f in faces if not f & notj]
+        if not upper:
+            break
+        index = {f: i for i, f in enumerate(lower)}
+        rows = []
+        for f in upper:
+            row, b, sign = [0] * len(lower), f, 1
+            while b:
+                low = b & -b
+                row[index[f ^ low]] = sign
+                b ^= low
+                sign = -sign
+            rows.append(row)
+        rank = integer_rank(rows)
+        betti[-1] -= rank
+        betti.append(len(rows) - rank)
+        lower = upper
+    return betti
+
+
 def reduced_betti(complex_: SimplicialComplex, field: Field) -> BettiData:
-    """Reduced Betti numbers via ranks of the boundary matrices."""
-    return BettiData(reduced=_reduced_from_masks(complex_.faces_by_dim(), field), field=field)
+    """Reduced Betti numbers, degree -1 up to the dimension; degree -1 has
+    rank 1 exactly for the empty complex."""
+    if complex_.is_empty:
+        return BettiData(reduced={-1: 1}, field=field)
+    by_dim = complex_.faces_by_dim()
+    if field is Field.GF2:
+        betti = _gf2_betti(_boundary_rows(by_dim), complex_._full_mask)
+    else:
+        betti = _rational_betti(by_dim, complex_._full_mask)
+    return BettiData(reduced={-1: 0, **dict(enumerate(betti))}, field=field)
 
 
 def _non_faces_inside(n: int, non_faces: list[int]) -> array:
@@ -226,14 +249,6 @@ def _non_faces_inside(n: int, non_faces: list[int]) -> array:
     return out
 
 
-def _rational_ranks(by_dim: list[list[int]], jmask: int) -> dict[int, int]:
-    """Rational reduced Betti numbers of the restriction to `jmask`, by
-    fraction-free elimination."""
-    notj = ~jmask
-    sub = [[f for f in lst if not f & notj] for lst in by_dim]
-    return _reduced_from_masks(sub, Field.RATIONAL)
-
-
 def _certify_sphere(complex_: SimplicialComplex) -> bool:
     """True iff `complex_` is a GF(2) homology sphere, decided exactly on
     its maximal-face masks.
@@ -247,8 +262,9 @@ def _certify_sphere(complex_: SimplicialComplex) -> bool:
     dimension 2 and up are memoized up to order-preserving relabelling by
     the key of `relabelled_masks`, since the answer does not depend on
     vertex names; a simplex boundary, a point pair or a cycle is checked
-    directly, which costs less than its key.  The boundary ranks are GF(2) ranks of bitset rows;
-    nothing is eliminated over Q.
+    directly, which costs less than its key.  The homology test is the
+    GF(2) kernel, `_gf2_betti` on `_boundary_rows`, over the whole support;
+    the certificate never eliminates over Q.
 
     One certificate serves both fields: by universal coefficients a GF(2)
     homology sphere, and each of its links, can carry only odd torsion,
@@ -273,7 +289,7 @@ def _certify_sphere(complex_: SimplicialComplex) -> bool:
         if known is None:
             known = all(
                 sphere([t ^ b for t in tops if t & b], d - 1) for b in _bits(support)
-            ) and _sphere_homology(faces(tops), d)
+            ) and _gf2_betti(_boundary_rows(faces(tops)), support) == [0] * d + [1]
             memo[key] = known
         return known
 
@@ -289,14 +305,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def _sphere_homology(by_dim: list[list[int]], d: int) -> bool:
-    """True iff the faces `by_dim` of a nonempty d-dimensional complex have
-    the reduced GF(2) homology of the d-sphere."""
-    # the augmentation of a nonempty complex has rank 1
-    ranks = [1, *(_boundary_rank(by_dim[k - 1], by_dim[k], Field.GF2) for k in range(1, d + 1)), 0]
-    return all(len(by_dim[k]) - ranks[k] - ranks[k + 1] == (k == d) for k in range(d + 1))
 
 
 def _is_sphere(complex_: SimplicialComplex) -> bool:
@@ -337,10 +345,10 @@ def _subset_sweep(
     is a cone, hence acyclic over every field, unless J is the union of
     the minimal non-faces inside it; that union is one table lookup.
 
-    Every other restriction is ranked once, over GF(2).  A face's boundary
-    lies in K_J whenever the face does, so each face's GF(2) boundary row,
-    indexed by the faces one dimension down in K, is computed once and
-    serves every J.
+    Every other restriction is ranked once, over GF(2), by `_gf2_betti`.
+    A face's boundary lies in K_J whenever the face does, so each face's
+    GF(2) boundary row, indexed by the faces one dimension down in K, is
+    computed once (`_boundary_rows`) and serves every J.
 
     Rational ranks from GF(2) ranks: an integer matrix has rank mod 2 at
     most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree,
@@ -349,9 +357,9 @@ def _subset_sweep(
     nonnegative gaps beta_d(GF(2)) - beta_d(Q) all carry the same sign in
     an alternating sum that is 0, so they all vanish and the two rows are
     equal.  Restrictions with GF(2) homology in degrees of both parities
-    stay open; `_sweep_table` ranks them over Q, by fraction-free
-    elimination, only when the rational table is asked for.  The pass
-    itself never eliminates.
+    stay open; `_sweep_table` ranks them over Q, by `_rational_betti`,
+    only when the rational table is asked for.  The pass itself, like the
+    sphere certificate it reads, never eliminates over Q.
 
     Alexander duality halves the pass on a homology sphere.  When
     `_is_sphere` certifies K as a GF(2) homology d-sphere on m vertices,
@@ -374,13 +382,9 @@ def _subset_sweep(
     on both fields' totals, so once it exceeds the bound the pass stores it
     on the complex as `_rank_floor` and returns None.
     """
-    by_dim = complex_.faces_by_dim()
     m = complex_.vertex_count
     inside = _non_faces_inside(m, [complex_._mask(nf) for nf in complex_.minimal_non_faces()])
-    upper = []
-    for d in range(1, len(by_dim)):
-        index = {f: i for i, f in enumerate(by_dim[d - 1])}
-        upper.append([(f, _boundary_row(f, index)) for f in by_dim[d]])
+    rows = _boundary_rows(complex_.faces_by_dim())
     sphere = _is_sphere(complex_)
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
     rational = dict(gf2)
@@ -394,16 +398,7 @@ def _subset_sweep(
         size = jmask.bit_count()
         if sphere and (2 * size > m or (2 * size == m and jmask & top)):
             continue
-        notj = ~jmask
-        # the augmentation of a nonempty J has rank 1
-        betti = [size - 1]
-        for faces in upper:
-            rows = [row for f, row in faces if not f & notj]
-            if not rows:
-                break
-            rank = gf2_rank(rows)
-            betti[-1] -= rank
-            betti.append(len(rows) - rank)
+        betti = _gf2_betti(rows, jmask)
         certified = not (any(betti[::2]) and any(betti[1::2]))
         for d, b in enumerate(betti):
             if b:
@@ -567,7 +562,7 @@ def _sweep_table(
         by_dim = complex_.faces_by_dim()
         opened: dict[tuple[int, int], int] = {}
         for jmask in pending:
-            for d, b in _rational_ranks(by_dim, jmask).items():
+            for d, b in enumerate(_rational_betti(by_dim, jmask)):
                 if b:
                     key = (jmask.bit_count(), d)
                     opened[key] = opened.get(key, 0) + b
@@ -711,23 +706,27 @@ def check_rank_lower_bounds(
 ) -> RankBoundsReport:
     """The sweep total is at least 2^(m - dim - 1), and every vertex link's
     total is at least 2^(m_v - n + 1) where n = dim + 1 and m_v counts the
-    link's supported vertices."""
+    link's supported vertices.  A link with m_v < n - 1 is refused before
+    anything is swept."""
     n = complex_.dim + 1
-    total = hochster_total_rank(complex_, field, cap)
-    total_bound = 1 << (complex_.vertex_count - complex_.dim - 1)
-    per_link = []
-    for v in complex_.vertices:
-        lk = complex_.link({v})
-        m_v = lk.vertex_count
-        rank = hochster_total_rank(lk, field, cap)
-        exponent = m_v - n + 1
-        if exponent < 0:
+    links = [(v, complex_.link({v})) for v in complex_.vertices]
+    for v, lk in links:
+        if lk.vertex_count < n - 1:
             raise InvalidDimensionError(
                 f"link of vertex {v} has too few vertices for dimension {n - 1}"
             )
-        per_link.append(
-            LinkRankBound(vertex=v, m_v=m_v, link_dim=lk.dim, rank=rank, bound=1 << exponent)
+    total = hochster_total_rank(complex_, field, cap)
+    total_bound = 1 << (complex_.vertex_count - complex_.dim - 1)
+    per_link = [
+        LinkRankBound(
+            vertex=v,
+            m_v=lk.vertex_count,
+            link_dim=lk.dim,
+            rank=hochster_total_rank(lk, field, cap),
+            bound=1 << (lk.vertex_count - n + 1),
         )
+        for v, lk in links
+    ]
     holds = total >= total_bound and all(b.holds for b in per_link)
     return RankBoundsReport(
         holds=holds, total_rank=total, total_bound=total_bound, per_link=tuple(per_link)

@@ -1,16 +1,26 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherejoin import (
     InternalInvariantError,
     SimplicialComplex,
     SphereJoinError,
     boundary_of_simplex,
+    dual_boundary_complex,
+    gen_polygon,
+    gen_product_of_simplices,
+    incidence_from_hv,
     simplex_boundary_on,
 )
 from spherejoin import complexes
 from spherejoin.cli import main
+from spherejoin.geometry import polytope_to_json_dict
 
 
 def run(capsys, *argv):
@@ -170,6 +180,94 @@ class TestMalformedEntries:
         code, out, err = run(capsys, "recognize", "--in", str(path), "--assert")
         assert (code, out) == (2, "")
         assert err.startswith(f'error: "{key}" entry') and err.count("\n") == 1
+
+
+def valid_documents():
+    """Complex, incidence and polytope JSON of a few small polytopes, and a
+    labelled complex."""
+    docs = [{"m": 3, "maximal_faces": [[0, 1], [1, 2], [0, 2]], "labels": ["a", "b", "c"]}]
+    polytopes = (gen_product_of_simplices(1, 1), gen_polygon(5), gen_product_of_simplices(2, 1))
+    for hrep, vrep in polytopes:
+        inc = incidence_from_hv(hrep, vrep)
+        docs += [
+            polytope_to_json_dict(hrep, vrep),
+            inc.to_json_dict(),
+            dual_boundary_complex(inc).to_json_dict(),
+        ]
+    return docs
+
+
+DOCUMENTS = valid_documents()
+KEYS = (
+    "m", "maximal_faces", "labels", "n", "facets", "vertex_facets",
+    "dim", "inequalities", "normal", "offset", "vertices",
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x"]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(
+            st.one_of(st.sampled_from(KEYS), st.text(max_size=3)), children, max_size=4
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+def paths(value, prefix=()):
+    """Every position inside a JSON value, as the keys and indices leading to it."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from paths(child, (*prefix, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one field, array entry or nested value deleted
+    or replaced by an arbitrary JSON value."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    *head, last = draw(st.sampled_from(list(paths(doc))[1:]))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = draw(JSON_VALUES)
+    return doc
+
+
+class TestArbitraryJson:
+    # whatever JSON reaches recognize is a verdict (exit 0, 1 or 3) or bad
+    # input (exit 2, one stderr line), never a traceback or an exit 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(JSON_VALUES, mutated_documents()))
+    def test_recognize_rejects_with_a_typed_error(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+        path.write_text(json.dumps(value))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["recognize", "--in", str(path), "--assert", "--cap", "12"])
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        else:
+            assert code in (0, 1, 3), err.getvalue()
 
 
 class TestHrk:

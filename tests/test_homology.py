@@ -11,6 +11,7 @@ from spherejoin import (
     CapExceededError,
     Field,
     InternalInvariantError,
+    InvalidDimensionError,
     SimplicialComplex,
     bigraded_betti,
     boundary_of_simplex,
@@ -190,18 +191,17 @@ class TestSubsetSweep:
         # over Q must decide that restriction
         rp2 = projective_plane()
         fallback = []
-        original = homology._reduced_from_masks
+        original = homology._rational_betti
 
-        def spy(by_dim, field):
-            fallback.append((by_dim[0], field))
-            return original(by_dim, field)
+        def spy(by_dim, jmask):
+            fallback.append(jmask)
+            return original(by_dim, jmask)
 
-        monkeypatch.setattr(homology, "_reduced_from_masks", spy)
+        monkeypatch.setattr(homology, "_rational_betti", spy)
         gf2 = homology._sweep_table(rp2, Field.GF2, 6)
         assert fallback == []  # GF(2) alone never needs elimination over Q
         rational = homology._sweep_table(rp2, Field.RATIONAL, 6)
-        assert ([1 << i for i in range(6)], Field.RATIONAL) in fallback
-        assert all(field is Field.RATIONAL for _, field in fallback)
+        assert 0b111111 in fallback
         assert gf2[(6, 1)] == 1 + rational.get((6, 1), 0)
         assert gf2[(6, 2)] == 1
         assert (6, 2) not in rational
@@ -366,7 +366,7 @@ class TestOneBoundedPass:
             return SimplicialComplex(cube.maximal_faces, vertices=cube.vertices)
 
         k = fresh()
-        eliminated = spy(monkeypatch, "_reduced_from_masks")
+        eliminated = spy(monkeypatch, "_rational_betti")
         assert not hochster_rank_criterion(k, Field.RATIONAL)
         assert eliminated == []
         assert hochster_total_rank(k, Field.RATIONAL) == hochster_total_rank(
@@ -720,6 +720,34 @@ class TestAlexanderDuality:
                 self.check(double(copy_of(entry.complex, None)))
 
 
+class TestBettiKernel:
+    """`reduced_betti` and the sweep read the same kernel per field: both
+    must match the sympy reference, and each other on the row of K itself,
+    which on a certified sphere the sweep credits by duality instead."""
+
+    @staticmethod
+    def check(k):
+        m, degrees = k.vertex_count, range(-1, k.dim + 1)
+        tables = sweep_tables(copy_of(k, None))
+        for field, tag in ((Field.GF2, "gf2"), (Field.RATIONAL, "q")):
+            got = reduced_betti(k, field).reduced
+            assert list(got) == list(degrees)
+            assert got == {i: tables[field].get((m, i), 0) for i in degrees}
+            if sum(k.f_vector()) <= TestAlexanderDuality.ORACLE_FACES:
+                assert got == reduced_betti_oracle(k.maximal_faces, tag)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(complexes(), spheres()))
+    def test_random_complexes(self, k):
+        self.check(k)
+
+    @pytest.mark.parametrize(
+        "k", [projective_plane(), torus(), SimplicialComplex([]), SimplicialComplex([{0}])]
+    )
+    def test_fixed_complexes(self, k):
+        self.check(k)
+
+
 class TestViaDouble:
     def test_edge_boundary(self):
         assert hochster_rank_via_double(simplex_boundary_on([0, 1]), Field.GF2) == 2
@@ -794,3 +822,12 @@ class TestRankLowerBounds:
         rep = check_rank_lower_bounds(boundary_of_simplex(3), Field.GF2)
         assert rep.holds and rep.total_rank == rep.total_bound == 2
         assert all(b.rank == b.bound == 2 for b in rep.per_link)
+
+    def test_short_link_refused_before_any_sweep(self, monkeypatch):
+        # the isolated vertex 3 has an empty link, too small for dimension 2
+        swept = spy(monkeypatch, "_subset_sweep")
+        k = build_complex([{0, 1, 2}, {3}], 4)
+        with pytest.raises(InvalidDimensionError) as info:
+            check_rank_lower_bounds(k, Field.GF2)
+        assert str(info.value) == "link of vertex 3 has too few vertices for dimension 2"
+        assert swept == []
