@@ -181,8 +181,11 @@ def dual_boundary_complex(incidence: VertexFacetIncidence) -> SimplicialComplex:
         raise NotSimpleError("incidence is not simple")
     if len(set(incidence.vertex_facets)) != len(incidence.vertex_facets):
         raise NotSimpleError("two vertices lie on the same facet set")
-    covered = set().union(*incidence.vertex_facets) if incidence.vertex_facets else set()
-    if covered != set(range(incidence.facet_count)):
+    covered = set().union(*incidence.vertex_facets)
+    # covered is range(facets) without building that range: a huge declared
+    # count fails on the length alone (and a negative one names no facet)
+    count = max(incidence.facet_count, 0)
+    if len(covered) != count or (covered and (min(covered), max(covered)) != (0, count - 1)):
         raise NotSimpleError("some facet contains no vertex")
     complex_ = SimplicialComplex(
         incidence.vertex_facets, vertices=range(incidence.facet_count)

@@ -63,22 +63,28 @@ The tables are cached on the complex itself, so every public function and
 both fields share one sweep, and a long-running process holds no table of
 a complex it has dropped.
 
-The rank criterion bounds its sweep, with one pass for both fields.  The
-pass keeps a floor: 1 for the empty J plus the ranks of the restrictions
-the parity argument certifies, which are the same over GF(2) and over Q.
-Every term of either total is a nonnegative rank, so the floor is a lower
-bound on both, and once it passes 2^(m - dim K - 1) both criteria answer
-no and the pass stops.  Restrictions the parity argument leaves open are never
-eliminated by a bounded pass; torsion can make their GF(2) ranks larger,
-so they do not count towards the floor.  Totals multiply over join
-factors, so the product of the finished factors' floors and the running
-factor's floor is a floor on the whole total; the pass runs the factors in
-turn and stops once that product passes the bound.  A pass that stops
-leaves its floor on the complex and caches no table, so the cached tables
-are always complete, and a later bounded call below that floor, over
-either field, reads it without sweeping.  A bounded total is therefore
-exact up to the bound and only a lower bound past it.  Totals reported to
-the user (`hrk`, `betti`, `crosscheck`) are never bounded.
+The rank criterion decides a negative before any elimination, with one
+Euler floor for both fields.  Over every field the reduced Euler
+characteristic of K_J is the alternating sum of its reduced Betti numbers,
+so |chi(K_J)| is at most their sum, and L, the sum of |chi(K_J)| over all
+J, is a lower bound on both totals.  chi(K_J) counts the faces of K inside
+J with sign (-1)^dim, the empty face included, so two additive subset
+transforms of the face indicators give it for all 2^m subsets at once
+(`_euler_floor`), over the packed layout the cone table uses
+(`_subset_transform`).  On a certified sphere K_J and K_{V-J} have the
+same |chi|, and half the table is summed.  When L passes
+2^(m - dim K - 1) both criteria answer no and nothing is ranked.
+Otherwise the pass runs in full: on a restriction whose homology sits in
+degrees of one parity the total rank is |chi|, so no sum of certified
+ranks could pass the bound either.  Totals and L multiply over join
+factors, so the product of the finished factors' certified totals and the
+running factor's floor is a floor on the whole total; the factors run in
+turn and stop once that product passes the bound.  A pass that
+stops leaves its floor on the complex and caches no table, so the cached
+tables are always complete, and a later bounded call below that floor,
+over either field, reads it without sweeping.  A bounded total is
+therefore exact up to the bound and only a lower bound past it.  Totals
+reported to the user (`hrk`, `betti`, `crosscheck`) are never bounded.
 
 All arithmetic is exact: GF(2) uses bitset elimination, rational ranks use
 fraction-free integer elimination.  Sweeps are pure functions of immutable
@@ -92,6 +98,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from math import prod
+from operator import sub
 
 from .complexes import SimplicialComplex, cycle_length_masks, down_closure, relabelled_masks
 from .errors import CapExceededError, InternalInvariantError, InvalidDimensionError
@@ -218,21 +225,27 @@ def reduced_betti(complex_: SimplicialComplex, field: Field) -> BettiData:
     return BettiData(reduced={-1: 0, **dict(enumerate(betti))}, field=field)
 
 
-def _non_faces_inside(n: int, non_faces: list[int]) -> array:
-    """Entry J: the union of the given non-faces that lie inside J.
+def _subset_transform(n: int, cells, largest: int, add: bool = False) -> array:
+    """Entry J, for each of the 2^n subsets J of n bits: the OR, or with
+    `add` the sum, of the values of the cells (S, value) with S inside J.
+    The cells name distinct subsets S, and `largest` bounds every entry.
 
-    A subset-OR transform over the n bits (n <= 64; a sweep past that
-    could not finish anyway).  The table is packed into one integer with a
-    w-bit field per subset, so each of the n steps ORs every subset
-    containing bit i with its partner without bit i in a single
-    shift-and-mask; the fields then load straight into an array.
+    A subset transform, packed into one integer with a w-bit field per
+    subset, w the narrowest array width that holds `largest` (n <= 64 for
+    an OR of subsets; a sweep past that could not finish anyway).  Each of
+    the n steps combines every subset containing bit i with its partner
+    without bit i in a single shift-and-mask; no sum carries out of its
+    field, so the fields load straight into an array.
     """
-    code = next((c for c in "BHIQ" if 8 * array(c).itemsize >= n), "Q")
+    code = next((c for c in "BHIQ" if largest >> (8 * array(c).itemsize) == 0), "Q")
     w = 8 * array(code).itemsize
     size = w << n
-    table = 0
-    for nf in non_faces:
-        table |= nf << (w * nf)
+    table = array(code, [0]) * (1 << n)
+    for s, value in cells:
+        table[s] = value
+    if sys.byteorder == "big":
+        table.byteswap()
+    packed = int.from_bytes(table.tobytes(), "little")
     for i in range(n):
         half = w << i
         # the fields of subsets containing bit i
@@ -241,12 +254,55 @@ def _non_faces_inside(n: int, non_faces: list[int]) -> array:
         while width < size:
             with_bit |= with_bit << width
             width *= 2
-        table |= (table << half) & with_bit
+        if add:
+            packed += (packed << half) & with_bit
+        else:
+            packed |= (packed << half) & with_bit
     out = array(code)
-    out.frombytes(table.to_bytes(size // 8, "little"))
+    out.frombytes(packed.to_bytes(size // 8, "little"))
     if sys.byteorder == "big":
         out.byteswap()
     return out
+
+
+def _non_faces_inside(n: int, non_faces: list[int]) -> array:
+    """Entry J: the union of the given non-faces that lie inside J, by an
+    OR subset transform over the n bits."""
+    return _subset_transform(n, ((nf, nf) for nf in non_faces), (1 << n) - 1)
+
+
+def _euler_floor(complex_: SimplicialComplex, sphere: bool) -> int:
+    """The sum over every vertex set J of |chi(K_J)|, the absolute reduced
+    Euler characteristic of the restriction: a lower bound on the Hochster
+    total over every field.
+
+    Over any field chi(K_J) is the alternating sum of the reduced Betti
+    numbers of K_J, so |chi(K_J)| is at most their sum, with equality when
+    they all sit in degrees of one parity.  chi(K_J) is also the number of
+    even-dimensional faces of K inside J minus the number of odd-dimensional
+    ones, the empty face (dimension -1) among them, so two additive subset
+    transforms of the face indicators give it for all 2^m subsets at once,
+    with no elimination; the empty J contributes 1.
+
+    On a homology d-sphere `sphere` is True, and Alexander duality gives
+    K_J and K_{V-J} the same Betti numbers up to a shift of degrees, so the
+    same |chi|.  The sum then runs over the J without the top vertex bit,
+    one of each complementary pair, from the faces without that bit, and
+    is doubled.
+    """
+    # on a sphere, the J without the top vertex bit, from the faces without it
+    n = complex_.vertex_count - 1 if sphere else complex_.vertex_count
+    even, odd = [], [(0, 1)]  # the empty face has dimension -1
+    for d, faces in enumerate(complex_.faces_by_dim()):
+        (odd if d % 2 else even).extend((f, 1) for f in faces if not f >> n)
+    largest = len(even) + len(odd)
+    chi = map(
+        sub,
+        _subset_transform(n, even, largest, add=True),
+        _subset_transform(n, odd, largest, add=True),
+    )
+    total = sum(map(abs, chi))
+    return 2 * total if sphere else total
 
 
 def _certify_sphere(complex_: SimplicialComplex) -> bool:
@@ -375,22 +431,28 @@ def _subset_sweep(
     its rational row rather than eliminate the larger complement.  A
     complex without the certificate visits every subset.
 
-    With `stop_above`, the pass keeps the floor: 1 for the empty J plus the
-    ranks of the restrictions the parity test certifies, whose GF(2) and Q
-    ranks are equal; on a sphere it adds each visited J's ranks twice, once
-    for J and once for V - J, and starts at 2.  The floor is a lower bound
-    on both fields' totals, so once it exceeds the bound the pass stores it
-    on the complex as `_rank_floor` and returns None.
+    With `stop_above`, the Euler floor comes first (`_euler_floor`, halved
+    on a certified sphere, so the certificate is settled before it): the
+    sum of |chi(K_J)| over all J, a lower bound on both fields' totals.  If
+    it exceeds the bound it is stored on the complex as `_rank_floor` and
+    the result is None, with no cone table, no boundary row and no rank.
+    Otherwise the pass runs in full: on a restriction whose homology sits
+    in degrees of one parity the total rank is |chi(K_J)|, so the ranks of
+    certified restrictions could never add up past the Euler floor, which
+    is at most the bound.
     """
     m = complex_.vertex_count
+    sphere = _is_sphere(complex_)
+    if stop_above is not None:
+        floor = _euler_floor(complex_, sphere)
+        if floor > stop_above:
+            complex_._rank_floor = floor
+            return None
     inside = _non_faces_inside(m, [complex_._mask(nf) for nf in complex_.minimal_non_faces()])
     rows = _boundary_rows(complex_.faces_by_dim())
-    sphere = _is_sphere(complex_)
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
     rational = dict(gf2)
     uncertified = []
-    # the empty J, and on a sphere its complement, K itself
-    floor = 2 if sphere else 1
     top = (1 << m) >> 1  # the top vertex bit
     for jmask in range(1, len(inside)):
         if inside[jmask] != jmask:
@@ -408,11 +470,6 @@ def _subset_sweep(
                     rational[key] = rational.get(key, 0) + b
         if not certified:
             uncertified.append(jmask)
-        elif stop_above is not None:
-            floor += (2 if sphere else 1) * sum(betti)
-            if floor > stop_above:
-                complex_._rank_floor = floor
-                return None
     if sphere:
         gf2 = _with_duals(gf2, m, complex_.dim)
         rational = _with_duals(rational, m, complex_.dim)
@@ -507,11 +564,13 @@ def _sweep_table(
     are sorted by key, so their order does not depend on the sweep's.  With
     `stop_above`, a complex without tables gets None at once when its
     remembered floor already exceeds the bound, and is otherwise swept by a
-    bounded pass, factor by factor.  Each factor's floor is a lower bound
-    on its totals over both fields, and the totals of a join multiply, so
-    factor i gets the bound `stop_above // done`, where `done` is the
-    product of the finished factors' floors: its floor passes that bound
-    exactly when `done` times it passes `stop_above`.  A pass that stops
+    bounded pass, factor by factor.  Each factor's Euler floor is a lower
+    bound on its totals over both fields, and so is the certified part of
+    its rational table once it is swept; the totals of a join multiply, and
+    so does |chi| (chi(A * B) = -chi(A) chi(B)), so factor i gets the bound
+    `stop_above // done`, where `done` is the product of the finished
+    factors' certified totals: its floor passes that bound exactly when
+    `done` times it passes `stop_above`.  A pass that stops
     leaves that product as the complex's floor and returns None, so the
     cache only ever holds complete tables.  Rational ranks of the
     restrictions the parity certificate left open are computed here, once,
@@ -587,12 +646,14 @@ def hochster_total_rank(
     """Sum over all vertex subsets J of the total reduced Betti number of
     the restriction to J; the empty subset contributes exactly 1.
 
-    With `stop_above`, a complex not yet swept is swept only until its
-    floor, the part of the total the parity certificate proves for both
-    fields at once, exceeds that bound; that floor is then the result, and
+    With `stop_above`, a complex not yet swept is first given its Euler
+    floor, the sum of |chi(K_J)| over all J, which bounds the total from
+    below over both fields at once.  If that floor, times the totals of the
+    join factors already swept, exceeds the bound, it is the result, and
     later bounded calls below it, over either field, return it without a
-    sweep.  So a result at most `stop_above` is the exact total over
-    `field`, and a larger one lies between the bound and that total.
+    sweep; otherwise the sweep runs in full.  So a result at most
+    `stop_above` is the exact total over `field`, and a larger one lies
+    between the bound and that total.
     """
     table = _sweep_table(complex_, field, cap, stop_above)
     return complex_._rank_floor if table is None else sum(table.values())
@@ -603,11 +664,12 @@ def hochster_rank_criterion(
 ) -> bool:
     """True iff the total subset-sweep rank equals 2^(m - dim - 1).
 
-    The total is bounded by that value: once the certified floor passes it
-    the answer is False for both fields, so a negative is usually decided
-    after a fraction of the subsets, with no elimination over Q, and the
-    other field's criterion then reads the remembered floor without a
-    sweep.  A positive sweeps every subset and caches the tables.
+    The total is bounded by that value: once the Euler floor, computed from
+    face counts alone, passes it the answer is False for both fields, with
+    no restriction ranked over either, and the other field's criterion then
+    reads the remembered floor without a sweep.  A positive, or a negative
+    whose floor stays at or below the value, sweeps every subset and caches
+    the tables.
     """
     expected = 1 << (complex_.vertex_count - complex_.dim - 1)
     return hochster_total_rank(complex_, field, cap, stop_above=expected) == expected

@@ -113,6 +113,18 @@ def hochster_total_oracle(vertices, maximal_faces, field="q"):
     return total
 
 
+def euler_floor_oracle(vertices, maximal_faces):
+    """Sum over every vertex subset J of the absolute reduced Euler
+    characteristic of the restriction to J: the faces inside J, the empty
+    one included, counted with sign (-1)^dim."""
+    faces = [frozenset(f) for f in all_faces(maximal_faces)]
+    total = 0
+    for subset in powerset(vertices):
+        j = frozenset(subset)
+        total += abs(sum((-1) ** (len(f) + 1) for f in faces if f <= j))
+    return total
+
+
 def minimal_non_faces_oracle(vertices, maximal_faces):
     faces = all_faces(maximal_faces)
     verts = sorted(vertices)

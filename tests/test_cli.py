@@ -92,6 +92,16 @@ class TestRecognize:
         assert out == ""
         assert err.startswith("error:") and '"n"' in err
 
+    def test_huge_facet_count_rejected_at_once(self, capsys, tmp_path):
+        # the coverage check compares sizes and extremes, never a set of
+        # every declared facet id, which would not fit in memory here
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1, "facets": 10**9, "vertex_facets": [[0], [1]]}))
+        code, out, err = run(capsys, "recognize", "--in", str(path), "--assert")
+        assert code == 2
+        assert out == ""
+        assert err == "error: some facet contains no vertex\n"
+
     @pytest.mark.parametrize(
         "text",
         [

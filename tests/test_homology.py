@@ -34,7 +34,12 @@ from spherejoin import complexes as complexes_module
 from spherejoin import homology
 
 from conftest import complexes, cycle, pinched_octahedron, spheres
-from oracle import has_cone_apex_oracle, hochster_total_oracle, reduced_betti_oracle
+from oracle import (
+    euler_floor_oracle,
+    has_cone_apex_oracle,
+    hochster_total_oracle,
+    reduced_betti_oracle,
+)
 
 BOTH = (Field.GF2, Field.RATIONAL)
 
@@ -299,17 +304,21 @@ class TestBoundedTotal:
             assert hochster_total_rank(k, field) == exact
             assert k._sweep_tables is not None
 
-    def test_negative_criterion_ranks_fewer_subsets(self, monkeypatch):
+    def test_negative_criterion_ranks_no_subset(self, monkeypatch):
+        # the Euler floor of the 13-cycle, its exact total, passes 2^11 from
+        # face counts alone, and the certificate decides a cycle directly
         ranked = []
         original = homology.gf2_rank
         monkeypatch.setattr(
             homology, "gf2_rank", lambda rows: ranked.append(rows) or original(rows)
         )
+        rows, cones = spy(monkeypatch, "_boundary_rows"), spy(monkeypatch, "_non_faces_inside")
         k = cycle(13)
         assert not hochster_rank_criterion(k, Field.GF2)
-        bounded = len(ranked)
+        assert ranked == rows == cones == []
+        assert k._rank_floor == 18436
         assert hochster_total_rank(k, Field.GF2) == 18436
-        assert 0 < bounded < (len(ranked) - bounded) // 4
+        assert ranked
 
     @pytest.mark.parametrize("field", BOTH)
     def test_positive_criterion_sweeps_once(self, monkeypatch, field):
@@ -502,13 +511,17 @@ class TestJoinFactors:
         assert calls == []
 
     def test_bounded_pass_stops_on_the_floor_product(self):
-        # the square's floor 4 divides the cycle's bound by 4, so the pass
-        # stops once 4 times the cycle's floor passes the join's bound
+        # the square's total 4 divides the cycle's bound by 4, and the cycle's
+        # Euler floor is its exact total: every restriction of a cycle has
+        # its homology in one degree
         k = simplex_boundary_on([0, 1]).join(simplex_boundary_on([2, 3]))
         k = join_after(k, cycle(13))
         bound = 1 << (k.vertex_count - k.dim - 1)
         got = hochster_total_rank(k, Field.GF2, stop_above=bound)
-        assert bound < got < 2 * bound
+        assert got == 4 * 18436
+        assert bound < got <= hochster_total_rank(
+            SimplicialComplex(k.maximal_faces, vertices=k.vertices), Field.GF2
+        )
         assert k._rank_floor == got and k._sweep_tables is None
 
     @pytest.mark.parametrize("field, exact", [(Field.GF2, 136), (Field.RATIONAL, 128)])
@@ -746,6 +759,56 @@ class TestBettiKernel:
     )
     def test_fixed_complexes(self, k):
         self.check(k)
+
+
+class TestEulerFloor:
+    """The sum of |reduced Euler characteristic| over all restrictions, from
+    two subset transforms of face counts, is the brute-force sum and a floor
+    under both fields' totals; on a certified sphere half the table gives it."""
+
+    @staticmethod
+    def check(k):
+        floor = homology._euler_floor(k, False)
+        assert floor == euler_floor_oracle(k.vertices, k.maximal_faces)
+        for field in BOTH:
+            assert floor <= hochster_total_rank(copy_of(k, None), field)
+        if homology._is_sphere(copy_of(k, None)):
+            assert homology._euler_floor(k, True) == floor
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(complexes(), spheres(), joins()))
+    def test_random_complexes(self, k):
+        self.check(k)
+
+    def test_catalog_and_projective_plane(self, catalog):
+        for k in [entry.complex for entry in catalog] + [projective_plane()]:
+            self.check(k)
+
+    @pytest.mark.parametrize(
+        "k, faces, width",
+        [
+            # 254 faces and the empty one fit 8-bit fields
+            (boundary_of_simplex(7), 254, 1),
+            # 255 faces and the empty one do not
+            (SimplicialComplex([range(8)]), 255, 2),
+            # 256 odd-dimensional faces with the empty one, at J = V
+            (boundary_of_simplex(8), 510, 2),
+        ],
+    )
+    def test_field_width_at_the_byte_boundary(self, monkeypatch, k, faces, width):
+        assert sum(k.f_vector()) == faces
+        self.check(k)
+        widths = []
+        transform = homology._subset_transform
+
+        def spy(*args, **kwargs):
+            out = transform(*args, **kwargs)
+            widths.append(out.itemsize)
+            return out
+
+        monkeypatch.setattr(homology, "_subset_transform", spy)
+        homology._euler_floor(k, False)
+        assert widths == [width, width]
 
 
 class TestViaDouble:
