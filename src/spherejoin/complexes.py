@@ -1,11 +1,15 @@
 """Finite abstract simplicial complexes stored by maximal faces.
 
 A complex lives on an explicit vertex set (arbitrary integer identifiers,
-usually ``0..m-1``).  Faces are frozensets of vertex ids; the empty face
-belongs to every complex.  The empty complex (whose only face is the empty
-simplex, dimension -1) is a first-class value.  All values are immutable
-and every operation returns a fresh complex, so everything here is safe to
-call concurrently.
+usually ``0..m-1``).  It is stored as bitmasks: vertex ``vertices[i]`` is
+bit i, and the maximal faces are an antichain of masks in canonical order.
+The public API speaks frozensets of vertex ids: ``maximal_faces`` is a
+cached frozenset view of the masks, and the empty face belongs to every
+complex.  The empty complex (whose only face is the empty simplex,
+dimension -1) is a first-class value.  Values are immutable once built
+(the view and the other caches are filled at most once, each with the
+same value whoever fills it), and every operation returns a fresh
+complex, so everything here is safe to call concurrently.
 
 Subcomplex results keep the original vertex identifiers.  A link is
 returned on the vertices that actually support a face, with the ambient
@@ -17,6 +21,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import (
     IndexOutOfRangeError,
@@ -31,26 +37,79 @@ from .errors import (
 Face = frozenset[int]
 
 
-def _canonical_faces(faces: set[Face]) -> tuple[Face, ...]:
-    """Drop dominated faces and sort lexicographically by sorted vertex tuple.
+def bits(mask: int):
+    """The one-bit masks of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
-    Only a strictly larger face can contain another, so faces are taken one
-    size level at a time, largest first, and each is compared only with the
-    faces kept from larger levels.  A pure list (links, joins, relabellings,
-    doubles) therefore does no subset test at all.
+
+def _lex_key(mask: int) -> str:
+    """Sort key, with ``reverse=True``, that puts an antichain of masks in
+    the lexicographic order of their sorted bit-position tuples.
+
+    The first position where two such tuples differ is the lowest bit where
+    the masks differ, and the tuple holding that bit comes first.  So the
+    order is the descending order of the bit-reversed masks, and the
+    reversed binary digits, bit 0 first, compare the same way; a string
+    that is a prefix of another would be a subset of it, which an antichain
+    excludes.
     """
-    levels: dict[int, list[Face]] = {}
-    for f in faces:
-        levels.setdefault(len(f), []).append(f)
-    kept: list[Face] = []
-    for size in sorted(levels, reverse=True):
-        larger = tuple(kept)
-        kept.extend(f for f in levels[size] if not any(f < g for g in larger))
-    return tuple(sorted(kept, key=lambda f: tuple(sorted(f))))
+    return bin(mask)[:1:-1]
+
+
+def _canonical_masks(masks) -> tuple[int, ...]:
+    """Drop repeated and dominated masks and sort the rest canonically.
+
+    Only a strictly larger face can contain another, so masks are taken one
+    size level at a time, largest first, and each is compared only with the
+    masks kept from larger levels.  A pure list (links, joins, doubles,
+    factors) therefore does no subset test at all.  No mask at all gives
+    the empty complex's single empty face.
+    """
+    unique = set(masks)
+    sizes = set(map(int.bit_count, unique))
+    kept: list[int] = []
+    for size in sorted(sizes, reverse=True):
+        level = [f for f in unique if f.bit_count() == size] if len(sizes) > 1 else unique
+        if kept:
+            level = [f for f in level if not any(f | g == g for g in kept)]
+        kept.extend(level)
+    kept.sort(key=_lex_key, reverse=True)
+    return tuple(kept) or (0,)
+
+
+def compress_masks(masks, support: int) -> list[int]:
+    """The masks moved onto the bits of `support`, the i-th lowest bit of
+    `support` becoming bit i; every mask must lie inside `support`."""
+    position, b = {}, support
+    while b:
+        low = b & -b
+        position[low] = 1 << len(position)
+        b ^= low
+    out = []
+    for t in masks:
+        c = 0
+        while t:
+            low = t & -t
+            c |= position[low]
+            t ^= low
+        out.append(c)
+    return out
 
 
 class SimplicialComplex:
     """A finite abstract simplicial complex, stored by its maximal faces.
+
+    The stored form is the tuple `_max_masks`: vertex ``vertices[i]`` is
+    bit i, the masks form an antichain, and they are sorted in the
+    lexicographic order of their sorted vertex tuples.  Equality, hashing,
+    the dimension and every criterion work on these masks.
+    `maximal_faces` is a frozenset view in the same order, cached: the
+    public constructor fills it from the sets it was given, and a complex
+    built from masks (`_from_masks`: links, doubles, reconstructions,
+    join factors) builds it on first read.
 
     Membership is decided by subset tests against the maximal faces; this
     is the simplest correct representation at the vertex counts this
@@ -59,9 +118,10 @@ class SimplicialComplex:
 
     __slots__ = (
         "vertices",
-        "maximal_faces",
+        "dim",
         "labels",
         "ambient_vertices",
+        "_maximal_faces",
         "_bit",
         "_max_masks",
         "_full_mask",
@@ -80,11 +140,8 @@ class SimplicialComplex:
         labels=None,
         ambient_vertices=None,
     ):
-        face_set = {frozenset(f) for f in faces}
-        if not face_set:
-            face_set = {frozenset()}
-        maximal = _canonical_faces(face_set)
-        support = sorted(set().union(*maximal)) if maximal else []
+        face_set = {frozenset(f) for f in faces} or {frozenset()}
+        support = sorted(set().union(*face_set))
         if vertices is None:
             verts = tuple(support)
         else:
@@ -102,6 +159,39 @@ class SimplicialComplex:
                 raise IndexOutOfRangeError(
                     f"faces use vertices {extra} outside the declared set"
                 )
+        bit = {v: i for i, v in enumerate(verts)}
+        by_mask = {}
+        for f in face_set:
+            m = 0
+            for v in f:
+                m |= 1 << bit[v]
+            by_mask[m] = f
+        self._store(verts, by_mask.keys(), labels, ambient_vertices)
+        self._maximal_faces = tuple(by_mask[m] for m in self._max_masks)
+
+    @classmethod
+    def _from_masks(cls, vertices, masks, labels=None, ambient_vertices=None):
+        """The complex on the sorted `vertices` whose faces are the masks
+        (vertex ``vertices[i]`` on bit i) and their subsets.
+
+        The internal entry point.  Repeated vertices and vertices in no
+        face are refused, as by the public constructor.  No frozenset is
+        built; `maximal_faces` waits for its first read.
+        """
+        verts = tuple(vertices)
+        if len(set(verts)) != len(verts):
+            raise IndexOutOfRangeError(f"duplicate vertex ids in {verts}")
+        out = cls.__new__(cls)
+        out._store(verts, masks, labels, ambient_vertices)
+        uncovered = out._full_mask & ~reduce(or_, out._max_masks)
+        if uncovered:
+            raise UncoveredVertexError(f"vertices {out._ids(uncovered)} appear in no face")
+        out._maximal_faces = None
+        return out
+
+    def _store(self, verts, masks, labels, ambient_vertices) -> None:
+        """Fill the slots from sorted vertices and any list of face masks,
+        which `_canonical_masks` reduces to the canonical antichain."""
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != len(verts):
@@ -109,13 +199,14 @@ class SimplicialComplex:
                     f"got {len(labels)} labels for {len(verts)} vertices"
                 )
         self.vertices: tuple[int, ...] = verts
-        self.maximal_faces: tuple[Face, ...] = maximal
+        self._max_masks: tuple[int, ...] = _canonical_masks(masks)
+        # max face cardinality minus one; -1 for the empty complex
+        self.dim: int = max(map(int.bit_count, self._max_masks)) - 1
         self.labels: tuple[str, ...] | None = labels
         self.ambient_vertices: tuple[int, ...] | None = (
             tuple(sorted(ambient_vertices)) if ambient_vertices is not None else None
         )
         self._bit = {v: i for i, v in enumerate(verts)}
-        self._max_masks = tuple(self._mask(f) for f in maximal)
         self._full_mask = (1 << len(verts)) - 1
         self._faces_by_dim = None
         self._minimal_non_faces = None
@@ -128,19 +219,26 @@ class SimplicialComplex:
         # answer this one shares (a double's input)
         self._sphere = None
 
+    @property
+    def maximal_faces(self) -> tuple[Face, ...]:
+        """The maximal faces as frozensets, in canonical order: the
+        lexicographic order of their sorted vertex tuples."""
+        if self._maximal_faces is None:
+            self._maximal_faces = tuple(self._unmask(m) for m in self._max_masks)
+        return self._maximal_faces
+
     # -- basic protocol ---------------------------------------------------
 
     def __eq__(self, other):
         # label-agnostic: two complexes are equal iff they have identical
-        # vertex sets and identical face sets
+        # vertex sets and identical face sets; the canonical antichain of
+        # masks on the same vertices is unique
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.vertices == other.vertices and set(self.maximal_faces) == set(
-            other.maximal_faces
-        )
+        return self.vertices == other.vertices and self._max_masks == other._max_masks
 
     def __hash__(self):
-        return hash((self.vertices, frozenset(self.maximal_faces)))
+        return hash((self.vertices, self._max_masks))
 
     def __repr__(self):
         faces = [sorted(f) for f in self.maximal_faces]
@@ -160,8 +258,12 @@ class SimplicialComplex:
         return m
 
     def _unmask(self, mask: int) -> Face:
+        return frozenset(self._ids(mask))
+
+    def _ids(self, mask: int) -> list[int]:
+        """The vertex ids of `mask`, in ascending order."""
         verts = self.vertices
-        return frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
+        return [verts[low.bit_length() - 1] for low in bits(mask)]
 
     # -- scalar invariants ------------------------------------------------
 
@@ -171,12 +273,7 @@ class SimplicialComplex:
 
     @property
     def is_empty(self) -> bool:
-        return self.maximal_faces == (frozenset(),)
-
-    @property
-    def dim(self) -> int:
-        """Dimension: max face cardinality minus one; -1 for the empty complex."""
-        return max(len(f) for f in self.maximal_faces) - 1
+        return self._max_masks == (0,)
 
     def faces_by_dim(self) -> list[list[int]]:
         """All faces as bitmasks, grouped by dimension (index d = dimension),
@@ -198,8 +295,8 @@ class SimplicialComplex:
         """The d-dimensional faces, canonically ordered."""
         if d < 0 or d > self.dim:
             return []
-        out = [self._unmask(m) for m in self.faces_by_dim()[d]]
-        return sorted(out, key=lambda f: tuple(sorted(f)))
+        level = sorted(self.faces_by_dim()[d], key=_lex_key, reverse=True)
+        return [self._unmask(m) for m in level]
 
     # -- subcomplex operations ---------------------------------------------
 
@@ -215,12 +312,14 @@ class SimplicialComplex:
         if s not in self:
             raise NotAFaceError(f"{sorted(s)} is not a face")
         smask = self._mask(s)
-        faces = []
-        for fm, f in zip(self._max_masks, self.maximal_faces):
-            if smask & ~fm == 0:
-                faces.append(f - s)
+        masks = [fm ^ smask for fm in self._max_masks if smask & ~fm == 0]
+        support = 0
+        for fm in masks:
+            support |= fm
         ambient = [v for v in self.vertices if v not in s]
-        return SimplicialComplex(faces, ambient_vertices=ambient)
+        return SimplicialComplex._from_masks(
+            self._ids(support), compress_masks(masks, support), ambient_vertices=ambient
+        )
 
     def full_subcomplex(self, subset) -> "SimplicialComplex":
         """All faces contained in ``subset``; the subset stays the vertex set."""
@@ -228,8 +327,9 @@ class SimplicialComplex:
         bad = w - set(self.vertices)
         if bad:
             raise IndexOutOfRangeError(f"{sorted(bad)} are not vertices")
-        faces = [f & w for f in self.maximal_faces]
-        return SimplicialComplex(faces, vertices=w)
+        wmask = self._mask(w)
+        masks = [fm & wmask for fm in self._max_masks]
+        return SimplicialComplex._from_masks(self._ids(wmask), compress_masks(masks, wmask))
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Join of two complexes on disjoint vertex sets."""
@@ -286,9 +386,8 @@ class SimplicialComplex:
         """
         if self._minimal_non_faces is None:
             found = _minimal_transversals([self._full_mask & ~fm for fm in self._max_masks])
-            self._minimal_non_faces = tuple(
-                sorted((self._unmask(m) for m in found), key=lambda f: tuple(sorted(f)))
-            )
+            found.sort(key=_lex_key, reverse=True)
+            self._minimal_non_faces = tuple(self._unmask(m) for m in found)
         return self._minimal_non_faces
 
     def is_simplex_boundary(self) -> bool:
@@ -296,18 +395,15 @@ class SimplicialComplex:
         m = len(self.vertices)
         if m < 2:
             return False
-        if len(self.maximal_faces) != m:
-            return False
-        vs = set(self.vertices)
-        expected = {frozenset(vs - {v}) for v in vs}
-        return set(self.maximal_faces) == expected
+        full = self._full_mask
+        return set(self._max_masks) == {full ^ low for low in bits(full)}
 
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """Canonical JSON form: vertices renumbered to 0..m-1 positionally."""
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        faces = sorted(sorted(pos[v] for v in f) for f in self.maximal_faces)
+        """Canonical JSON form: vertices renumbered to 0..m-1 positionally,
+        which is each mask's bit positions, already in canonical order."""
+        faces = [[low.bit_length() - 1 for low in bits(fm)] for fm in self._max_masks]
         out = {"m": len(self.vertices), "maximal_faces": faces}
         if self.labels is not None:
             out["labels"] = list(self.labels)
@@ -457,11 +553,7 @@ def reconstruct_from_non_faces(vertices, non_faces) -> SimplicialComplex:
             m |= 1 << bit[v]
         if m:
             fam.append(m)
-    faces = []
-    for t in _minimal_transversals(fam):
-        c = full & ~t
-        faces.append(frozenset(verts[i] for i in range(len(verts)) if c >> i & 1))
-    return SimplicialComplex(faces, vertices=verts)
+    return SimplicialComplex._from_masks(verts, [full & ~t for t in _minimal_transversals(fam)])
 
 
 def _minimal_transversals(edges: list[int]) -> list[int]:
@@ -532,20 +624,22 @@ def double(complex_: SimplicialComplex) -> SimplicialComplex:
     if base != complex_ or nested:
         raise InternalInvariantError("doubled complex has unexpected minimal non-faces")
 
-    def lift(mask: int) -> list[int]:
-        return [u for i in range(m) if mask >> i & 1 for u in (2 * i, 2 * i + 1)]
+    def lift(mask: int) -> int:
+        # bit i becomes bits 2i and 2i+1: the one-bit mask b lifts to 3 * b * b
+        return sum(3 * b * b for b in bits(mask))
 
     faces = []
-    for fm in base._max_masks:
-        both = lift(fm)
-        copies = [(2 * i, 2 * i + 1) for i in range(m) if not fm >> i & 1]
-        faces.extend(frozenset((*both, *one)) for one in itertools.product(*copies))
+    for fm in complex_._max_masks:
+        grown = [lift(fm)]
+        for b in bits(complex_._full_mask & ~fm):
+            one = b * b
+            grown = [f | c for f in grown for c in (one, one << 1)]
+        faces.extend(grown)
     names = complex_.labels if complex_.labels is not None else [f"v{v}" for v in verts]
     labels = [lab for name in names for lab in (name, name + "'")]
-    out = SimplicialComplex(faces, vertices=range(2 * m), labels=labels)
-    out._minimal_non_faces = tuple(
-        frozenset(t) for t in sorted(tuple(lift(nf)) for nf in non_faces)
-    )
+    out = SimplicialComplex._from_masks(range(2 * m), faces, labels=labels)
+    # the non-faces are listed in canonical order, and lifting keeps it
+    out._minimal_non_faces = tuple(out._unmask(lift(nf)) for nf in non_faces)
     out._sphere = complex_ if complex_._sphere is None else complex_._sphere
     return out
 
@@ -584,20 +678,7 @@ def relabelled_masks(masks, support: int) -> tuple[int, frozenset[int]]:
     same key exactly when an order-preserving bijection of their supports
     carries one onto the other.
     """
-    position, b = {}, support
-    while b:
-        low = b & -b
-        position[low] = 1 << len(position)
-        b ^= low
-    out = []
-    for t in masks:
-        c = 0
-        while t:
-            low = t & -t
-            c |= position[low]
-            t ^= low
-        out.append(c)
-    return len(position), frozenset(out)
+    return support.bit_count(), frozenset(compress_masks(masks, support))
 
 
 # -- pseudomanifold test -------------------------------------------------------
@@ -643,42 +724,65 @@ def pseudomanifold_masks(masks, n: int) -> tuple[bool, list[int], bool]:
     """The pseudomanifold test on the maximal-face masks of an n-dimensional
     complex, n >= 1: (pure, violating ridge masks, strongly connected).
 
-    Violations are sorted by their ascending bit positions, which is the
-    canonical vertex order whenever bit order follows vertex order.  No face
-    is enumerated: a face with n vertices either lies in a top face, and is
-    that face minus one vertex, or is itself maximal, so the ridges are the
-    top faces minus one vertex plus the maximal faces with n vertices.
+    Violations are sorted in the lexicographic order of their bit positions,
+    which is the canonical vertex order whenever bit order follows vertex
+    order.  No face is enumerated: a face with n vertices either lies in a
+    top face, and is that face minus one vertex, or is itself maximal, so
+    the ridges are the top faces minus one vertex plus the maximal faces
+    with n vertices.
     Strong connectivity is union-find over top faces sharing a ridge.
     """
     pure = all(fm.bit_count() == n + 1 for fm in masks)
     tops = [fm for fm in masks if fm.bit_count() == n + 1]
+    cofacets = _ridge_cofacets(tops)
     # a maximal ridge lies in no top face, so it keeps no cofacet
-    cofacets: dict[int, list[int]] = {fm: [] for fm in masks if fm.bit_count() == n}
+    cofacets.update((fm, []) for fm in masks if fm.bit_count() == n)
+    violations = sorted(
+        (r for r, c in cofacets.items() if len(c) != 2), key=_lex_key, reverse=True
+    )
+    return pure, violations, _connected(len(tops), cofacets.values())
+
+
+def strongly_connected_masks(tops) -> bool:
+    """Whether the top faces with the given masks, all of one size, are
+    strongly connected: any two are joined by a chain of top faces in which
+    consecutive ones share a ridge."""
+    return _connected(len(tops), _ridge_cofacets(tops).values())
+
+
+def _ridge_cofacets(tops) -> dict[int, list[int]]:
+    """Each top face minus one vertex, mapped to the indices of the top
+    faces that contain it."""
+    cofacets: dict[int, list[int]] = {}
     for ti, t in enumerate(tops):
         b = t
         while b:
             low = b & -b
-            cofacets.setdefault(t & ~low, []).append(ti)
-            b &= ~low
-    violations = sorted(
-        (r for r, c in cofacets.items() if len(c) != 2),
-        key=lambda r: [i for i in range(r.bit_length()) if r >> i & 1],
-    )
-    parent = list(range(len(tops)))
+            ridge = t ^ low
+            if ridge in cofacets:
+                cofacets[ridge].append(ti)
+            else:
+                cofacets[ridge] = [ti]
+            b ^= low
+    return cofacets
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for c in cofacets.values():
-        for other in c[1:]:
-            ra, rb = find(c[0]), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    connected = len({find(i) for i in range(len(tops))}) <= 1
-    return pure, violations, connected
+def _connected(count: int, groups) -> bool:
+    """Whether items 0..count-1 form at most one class once the items of
+    each group are merged (union-find)."""
+    parent = list(range(count))
+    for c in groups:
+        if len(c) < 2:
+            continue
+        # the root of the group's first item; each other item's root joins it
+        a = c[0]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        for b in c[1:]:
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[b] = a
+    return sum(i == p for i, p in enumerate(parent)) <= 1
 
 
 def cycle_length(complex_: SimplicialComplex) -> int | None:

@@ -100,7 +100,14 @@ from dataclasses import dataclass
 from math import prod
 from operator import sub
 
-from .complexes import SimplicialComplex, cycle_length_masks, down_closure, relabelled_masks
+from .complexes import (
+    SimplicialComplex,
+    bits,
+    compress_masks,
+    cycle_length_masks,
+    down_closure,
+    relabelled_masks,
+)
 from .errors import CapExceededError, InternalInvariantError, InvalidDimensionError
 from .linalg import gf2_rank, integer_rank
 
@@ -344,7 +351,7 @@ def _certify_sphere(complex_: SimplicialComplex) -> bool:
         known = memo.get(key)
         if known is None:
             known = all(
-                sphere([t ^ b for t in tops if t & b], d - 1) for b in _bits(support)
+                sphere([t ^ b for t in tops if t & b], d - 1) for b in bits(support)
             ) and _gf2_betti(_boundary_rows(faces(tops)), support) == [0] * d + [1]
             memo[key] = known
         return known
@@ -353,14 +360,6 @@ def _certify_sphere(complex_: SimplicialComplex) -> bool:
     return complex_.dim >= 0 and sphere(
         list(complex_._max_masks), complex_.dim, lambda _: complex_.faces_by_dim()
     )
-
-
-def _bits(mask: int):
-    """The one-bit masks of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _is_sphere(complex_: SimplicialComplex) -> bool:
@@ -517,12 +516,13 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     sphere = None if complex_._sphere is None else _is_sphere(complex_)
     factors = []
     for c in sorted(components, key=lambda c: c & -c):
-        verts = complex_._unmask(c)
-        factor = SimplicialComplex([f & verts for f in complex_.maximal_faces], vertices=verts)
+        masks = compress_masks([f & c for f in complex_._max_masks], c)
+        factor = SimplicialComplex._from_masks(complex_._ids(c), masks)
+        verts = frozenset(factor.vertices)
         factor._minimal_non_faces = tuple(nf for nf in non_faces if nf <= verts)
         factor._sphere = sphere
         factors.append(factor)
-    if prod(len(f.maximal_faces) for f in factors) != len(complex_.maximal_faces):
+    if prod(len(f._max_masks) for f in factors) != len(complex_._max_masks):
         raise InternalInvariantError(
             "join factors of the minimal non-faces do not rebuild the complex"
         )

@@ -22,12 +22,14 @@ from math import prod
 from .complexes import (
     Face,
     SimplicialComplex,
+    bits,
     cycle_length,
     cycle_length_masks,
     double,
     is_pseudomanifold,
     pseudomanifold_masks,
     relabelled_masks,
+    strongly_connected_masks,
 )
 from .errors import (
     CapExceededError,
@@ -71,12 +73,10 @@ class SphereJoinDecomposition:
         `decompose_by_non_faces` certifies against, with vertex i of the
         sorted vertex list on bit i.
         """
-        verts = tuple(sorted(v for p in self.parts for v in p))
+        verts = sorted(v for p in self.parts for v in p)
         bit = {v: 1 << i for i, v in enumerate(verts)}
         facets = _join_facet_masks([[bit[v] for v in p] for p in self.parts])
-        return SimplicialComplex(
-            [frozenset(v for v in verts if m & bit[v]) for m in facets], vertices=verts
-        )
+        return SimplicialComplex._from_masks(verts, facets)
 
     def to_json_dict(self) -> dict:
         return {"parts": [list(p) for p in self.parts], "dims": list(self.dims)}
@@ -279,6 +279,14 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
     Witness paths are root vertex ids, and ridge violations are turned
     back into vertex sets only when a witness is built.
 
+    The root's pseudomanifold test (empty path) is the only full one.
+    Below it only strong connectivity is tested, because purity and the
+    two-cofacet ridge rule carry over to every link: the top faces of
+    lk(sigma) are the top faces through sigma minus sigma, all of one size,
+    and the cofacets of a ridge r of lk(sigma) are those of the ridge
+    r + sigma of the complex, minus sigma.  For the same reason every
+    vertex link keeps dimension one less than its host.
+
     Recognized links are memoized up to order-preserving relabelling, by
     the key of `relabelled_masks`: the verdict does not depend on vertex
     names.  Only successes are stored; a failure goes straight up to the
@@ -318,7 +326,10 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
                     "cycle_length": length,
                 }
         else:
-            pure, violations, connected = pseudomanifold_masks(tops, n)
+            if path:
+                pure, violations, connected = True, [], strongly_connected_masks(tops)
+            else:
+                pure, violations, connected = pseudomanifold_masks(tops, n)
             if not (pure and not violations and connected):
                 w = {
                     "kind": "not_pseudomanifold",
@@ -331,22 +342,9 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
                 }
             else:
                 w = None
-                b = support
-                while b:
-                    low = b & -b
-                    b ^= low
+                for low in bits(support):
                     v = ids[low.bit_length() - 1]
-                    link = [t ^ low for t in tops if t & low]
-                    link_dim = max(t.bit_count() for t in link) - 1
-                    if link_dim != n - 1:
-                        w = {
-                            "kind": "link_dimension_drop",
-                            "path": list(path + (v,)),
-                            "link_dim": link_dim,
-                            "expected": n - 1,
-                        }
-                        break
-                    w = run(link, n - 1, path + (v,))
+                    w = run([t ^ low for t in tops if t & low], n - 1, path + (v,))
                     if w is not None:
                         break
         if w is None:

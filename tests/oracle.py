@@ -4,6 +4,10 @@ Deliberately separate from the library implementation: face enumeration by
 powerset, boundary matrices via sympy over the rationals, GF(2) ranks by a
 plain list-of-rows elimination.  Only usable at small sizes.
 
+The constructor references are the frozenset forms the mask code
+replaced: canonical faces level by level, and the double lifted face by
+face.
+
 The criterion references at the end are plain versions of the library's
 criteria: every face enumerated, every link built, every edge found by a
 facet scan, every join rebuilt complex by complex, and no memo.  The
@@ -12,7 +16,7 @@ affine ranks from sympy.
 """
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import sympy
 
@@ -193,6 +197,47 @@ def canonical_faces_oracle(faces):
     faces = {frozenset(f) for f in faces}
     kept = [f for f in faces if not any(f < g for g in faces)]
     return tuple(sorted(kept, key=lambda f: tuple(sorted(f))))
+
+
+def canonical_faces_reference(faces):
+    """Drop dominated faces and sort lexicographically by sorted vertex
+    tuple, one size level at a time, largest first, each face compared
+    only with the faces kept from larger levels."""
+    levels = {}
+    for f in faces:
+        levels.setdefault(len(f), []).append(f)
+    kept = []
+    for size in sorted(levels, reverse=True):
+        larger = tuple(kept)
+        kept.extend(f for f in levels[size] if not any(f < g for g in larger))
+    return tuple(sorted(kept, key=lambda f: tuple(sorted(f))))
+
+
+def complex_reference(faces):
+    """(vertices, maximal faces) of the complex the faces generate, as the
+    frozenset constructor computed them."""
+    maximal = canonical_faces_reference({frozenset(f) for f in faces} or {frozenset()})
+    return tuple(sorted(set().union(*maximal))), maximal
+
+
+def double_reference(k):
+    """(maximal faces, labels, minimal non-faces) of the double, lifted
+    face by face: both copies of a maximal face sigma plus one copy of each
+    vertex outside it, vertex i of the input becoming the pair 2i, 2i+1."""
+    pos = {v: i for i, v in enumerate(k.vertices)}
+
+    def lift(face):
+        return [u for v in sorted(face) for u in (2 * pos[v], 2 * pos[v] + 1)]
+
+    faces = set()
+    for f in k.maximal_faces:
+        copies = [(2 * pos[v], 2 * pos[v] + 1) for v in k.vertices if v not in f]
+        faces.update(frozenset((*lift(f), *one)) for one in product(*copies))
+    names = k.labels if k.labels is not None else [f"v{v}" for v in k.vertices]
+    labels = tuple(lab for name in names for lab in (name, name + "'"))
+    non_faces = minimal_non_faces_oracle(k.vertices, k.maximal_faces)
+    lifted = tuple(frozenset(t) for t in sorted(tuple(lift(nf)) for nf in non_faces))
+    return canonical_faces_reference(faces), labels, lifted
 
 
 def pseudomanifold_reference(k):

@@ -248,6 +248,11 @@ class TestMinimalNonFaces:
             rebuilt = reconstruct_from_non_faces(k.vertices, k.minimal_non_faces())
             assert rebuilt == k
 
+    def test_reconstruct_rejects_a_vertex_in_no_face(self):
+        # a one-vertex non-face leaves that vertex in no face
+        with pytest.raises(UncoveredVertexError):
+            reconstruct_from_non_faces([0, 1, 2], [{0}])
+
 
 @st.composite
 def edge_families(draw):

@@ -22,11 +22,11 @@ from spherejoin import (
     reduced_betti,
 )
 
-from spherejoin.complexes import _canonical_faces
-
 from conftest import complexes, spheres
 from oracle import (
     canonical_faces_oracle,
+    complex_reference,
+    double_reference,
     decompose_by_non_faces_reference,
     pseudomanifold_reference,
     recursive_reference,
@@ -266,7 +266,7 @@ def face_lists(draw):
 @settings(max_examples=100, deadline=None)
 @given(face_lists())
 def test_canonical_faces_match_brute_force(faces):
-    assert _canonical_faces(set(faces)) == canonical_faces_oracle(faces)
+    assert SimplicialComplex(faces).maximal_faces == canonical_faces_oracle(faces)
 
 
 @pytest.mark.parametrize(
@@ -279,5 +279,79 @@ def test_canonical_faces_match_brute_force(faces):
     ],
 )
 def test_canonical_faces_fixed_chains(faces):
-    fs = {frozenset(f) for f in faces}
-    assert _canonical_faces(fs) == canonical_faces_oracle(fs)
+    assert SimplicialComplex(faces).maximal_faces == canonical_faces_oracle(faces)
+
+
+@st.composite
+def sparse_face_lists(draw):
+    """`face_lists` moved onto distinct vertex ids spread over a wide
+    range: non-contiguous, some negative, in an order unlike 0..6."""
+    faces = draw(face_lists())
+    ids = draw(st.lists(st.integers(min_value=-20, max_value=60), min_size=7, max_size=7, unique=True))
+    return [frozenset(ids[v] for v in f) for f in faces]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_face_lists(), sparse_face_lists())
+def test_mask_constructor_matches_frozenset_reference(faces, other):
+    k = SimplicialComplex(faces)
+    verts, maximal = complex_reference(faces)
+    assert (k.vertices, k.maximal_faces) == (verts, maximal)
+    # a complex built from the masks builds the same view on first read
+    lazy = SimplicialComplex._from_masks(k.vertices, k._max_masks)
+    assert lazy._maximal_faces is None
+    assert lazy.maximal_faces == maximal
+    assert lazy == k and hash(lazy) == hash(k)
+    # repeated, dominated and reordered faces build an equal complex
+    again = SimplicialComplex([*reversed(faces), *maximal, frozenset()])
+    assert again == k and hash(again) == hash(k)
+    assert (SimplicialComplex(other) == k) is (complex_reference(other) == (verts, maximal))
+
+
+def _double_matches_reference(k):
+    d = double(k)
+    faces, labels, non_faces = double_reference(k)
+    # the double is built on masks; its frozenset view waits for a read
+    assert d._maximal_faces is None
+    assert d.vertices == tuple(range(2 * k.vertex_count))
+    assert (d.maximal_faces, d.labels, d._minimal_non_faces) == (faces, labels, non_faces)
+    assert d == SimplicialComplex(faces, vertices=d.vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(complexes(), spheres()), st.data())
+def test_double_matches_frozenset_reference(k, data):
+    m = k.vertex_count
+    ids = data.draw(st.lists(st.integers(min_value=-20, max_value=60), min_size=m, max_size=m, unique=True))
+    k = k.relabel(dict(zip(k.vertices, ids)))
+    if data.draw(st.booleans()):
+        k = SimplicialComplex(k.maximal_faces, labels=[f"x{i}" for i in range(m)])
+    _double_matches_reference(k)
+
+
+def test_double_matches_frozenset_reference_on_fixed_inputs(catalog):
+    fixed = [
+        SimplicialComplex([]),
+        # facets of two sizes
+        SimplicialComplex([{0, 1, 2}, {2, 3}]),
+        *(e.complex for e in catalog if e.complex.vertex_count <= 6),
+    ]
+    for k in fixed:
+        _double_matches_reference(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spheres())
+def test_pseudomanifold_links_inherit_purity_and_ridges(k):
+    # why Recursive tests only strong connectivity below the root: the link
+    # of every face sigma of a pure pseudomanifold of dimension n is pure of
+    # dimension n - |sigma|, with every ridge in exactly two top faces
+    if k.dim < 2 or not is_pseudomanifold(k):
+        return
+    for level in k.faces_by_dim()[:-1]:
+        for sigma in level:
+            link = k.link(k._unmask(sigma))
+            assert link.dim == k.dim - sigma.bit_count()
+            if link.dim >= 1:
+                rep = is_pseudomanifold(link)
+                assert rep.is_pure and not rep.ridge_violations

@@ -2,8 +2,11 @@ import pytest
 
 from spherejoin import (
     CapExceededError,
+    IndexOutOfRangeError,
     PreconditionViolatedError,
     SimplicialComplex,
+    SphereJoinDecomposition,
+    UncoveredVertexError,
     boundary_of_simplex,
     build_complex,
     check_double,
@@ -71,6 +74,18 @@ class TestDecompose:
             dec, _ = decompose_by_non_faces(entry.complex)
             if dec is not None:
                 assert dec.rebuild() == entry.complex
+
+    @pytest.mark.parametrize(
+        "parts, error",
+        [
+            (((0, 1), (1, 2)), IndexOutOfRangeError),
+            (((0, 1), (2,)), UncoveredVertexError),
+            (((), (0, 1)), UncoveredVertexError),
+        ],
+    )
+    def test_rebuild_rejects_malformed_parts(self, parts, error):
+        with pytest.raises(error):
+            SphereJoinDecomposition(parts).rebuild()
 
     @staticmethod
     def _multisets(total, minimum=2):
@@ -327,20 +342,6 @@ class TestWitnessKinds:
             "strongly_connected": False,
         }
 
-    def test_link_dimension_drop(self, monkeypatch):
-        # every vertex link of a pure pseudomanifold keeps its dimension, so
-        # the precondition is passed by hand to reach this witness
-        k = build_complex([{0, 3}, {1, 2, 3}], 4)
-        monkeypatch.setattr(
-            recognition, "pseudomanifold_masks", lambda masks, n: (True, [], True)
-        )
-        assert recognize_recursive(k).witness == {
-            "kind": "link_dimension_drop",
-            "path": [0],
-            "link_dim": 0,
-            "expected": 1,
-        }
-
 
 def _count_calls(monkeypatch, method):
     """Record each call of a SimplicialComplex method, by its arguments."""
@@ -367,13 +368,42 @@ class TestWorkCounts:
             tested.append(n)
             return core(masks, n)
 
+        connected = []
+        inherited = recognition.strongly_connected_masks
+
+        def counted_connected(masks):
+            connected.append(len(masks))
+            return inherited(masks)
+
         monkeypatch.setattr(recognition, "pseudomanifold_masks", counted)
-        built = _count_calls(monkeypatch, "__init__")
+        monkeypatch.setattr(recognition, "strongly_connected_masks", counted_connected)
+        built = _count_calls(monkeypatch, "_store")
         assert recognize_recursive(product_333).verdict
-        # one pseudomanifold test per recognized link class of dimension >= 2
-        assert len(tested) == 36
+        # the full pseudomanifold test runs on the root alone; below it, one
+        # connectivity test per recognized link class of dimension >= 2
+        assert tested == [8]
+        assert len(connected) == 35
         # every link is a list of masks, never a complex
         assert built == []
+
+    def test_double_builds_no_frozenset_face(self, monkeypatch, catalog, product_333):
+        doubles = []
+        build = recognition.double
+
+        def kept(k):
+            doubles.append(build(k))
+            return doubles[-1]
+
+        monkeypatch.setattr(recognition, "double", kept)
+        public = _count_calls(monkeypatch, "__init__")
+        inputs = [e.complex for e in catalog if 2 * e.complex.vertex_count <= 24]
+        for k in [*inputs, product_333]:
+            check_double(k, cap=24)
+        assert len(doubles) == len(inputs) + 1
+        # every double lives on masks: the frozenset constructor never runs,
+        # and no double's frozenset view is built
+        assert public == []
+        assert all(d._maximal_faces is None for d in doubles)
 
     def test_two_face_builds_no_link_on_products(self, monkeypatch, catalog, product_333):
         products = [e.complex for e in catalog if e.is_sphere_join] + [product_333]
