@@ -210,10 +210,10 @@ class SimplicialComplex:
         self._full_mask = (1 << len(verts)) - 1
         self._faces_by_dim = None
         self._minimal_non_faces = None
-        # filled by the homology subset sweep; the floor is a proven lower
-        # bound on the Hochster total over both fields (the empty J gives 1)
+        # filled by the homology subset sweep; the Euler floor, a lower bound
+        # on the Hochster total over both fields, by its first bounded call
         self._sweep_tables = None
-        self._rank_floor = 1
+        self._rank_floor = None
         # whether the complex is a GF(2) homology sphere: None until the
         # certificate in homology runs, then a bool, or the complex whose
         # answer this one shares (a double's input)

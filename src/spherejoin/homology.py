@@ -72,19 +72,14 @@ J with sign (-1)^dim, the empty face included, so two additive subset
 transforms of the face indicators give it for all 2^m subsets at once
 (`_euler_floor`), over the packed layout the cone table uses
 (`_subset_transform`).  On a certified sphere K_J and K_{V-J} have the
-same |chi|, and half the table is summed.  When L passes
-2^(m - dim K - 1) both criteria answer no and nothing is ranked.
-Otherwise the pass runs in full: on a restriction whose homology sits in
-degrees of one parity the total rank is |chi|, so no sum of certified
-ranks could pass the bound either.  Totals and L multiply over join
-factors, so the product of the finished factors' certified totals and the
-running factor's floor is a floor on the whole total; the factors run in
-turn and stop once that product passes the bound.  A pass that
-stops leaves its floor on the complex and caches no table, so the cached
-tables are always complete, and a later bounded call below that floor,
-over either field, reads it without sweeping.  A bounded total is
-therefore exact up to the bound and only a lower bound past it.  Totals
-reported to the user (`hrk`, `betti`, `crosscheck`) are never bounded.
+same |chi|, and half the table is summed.  Totals and L multiply over join
+factors (chi(A * B) = -chi(A) chi(B)), so the floor of a join is the
+product of its factors' floors.  It is computed once per complex and kept
+on it.  When L passes 2^(m - dim K - 1) both criteria answer no and
+nothing is swept or ranked; otherwise the sweep runs in full and caches
+complete tables.  A bounded total is therefore exact up to the bound and
+only a lower bound past it.  Totals reported to the user (`hrk`, `betti`,
+`crosscheck`) are never bounded.
 
 All arithmetic is exact: GF(2) uses bitset elimination, rational ranks use
 fraction-free integer elimination.  Sweeps are pure functions of immutable
@@ -387,8 +382,8 @@ def _with_duals(table: dict[tuple[int, int], int], m: int, d: int) -> dict[tuple
 
 
 def _subset_sweep(
-    complex_: SimplicialComplex, stop_above: int | None
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], tuple[int, ...]] | None:
+    complex_: SimplicialComplex,
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], tuple[int, ...]]:
     """Reduced Betti ranks of every full subcomplex K_J, keyed by (|J|, degree),
     from one pass over the subsets J: the GF(2) table, the rational table
     without the subsets the parity test leaves open, and those subsets.
@@ -429,24 +424,9 @@ def _subset_sweep(
     same amount, so an open J stands for both, and `_sweep_table` dualizes
     its rational row rather than eliminate the larger complement.  A
     complex without the certificate visits every subset.
-
-    With `stop_above`, the Euler floor comes first (`_euler_floor`, halved
-    on a certified sphere, so the certificate is settled before it): the
-    sum of |chi(K_J)| over all J, a lower bound on both fields' totals.  If
-    it exceeds the bound it is stored on the complex as `_rank_floor` and
-    the result is None, with no cone table, no boundary row and no rank.
-    Otherwise the pass runs in full: on a restriction whose homology sits
-    in degrees of one parity the total rank is |chi(K_J)|, so the ranks of
-    certified restrictions could never add up past the Euler floor, which
-    is at most the bound.
     """
     m = complex_.vertex_count
     sphere = _is_sphere(complex_)
-    if stop_above is not None:
-        floor = _euler_floor(complex_, sphere)
-        if floor > stop_above:
-            complex_._rank_floor = floor
-            return None
     inside = _non_faces_inside(m, [complex_._mask(nf) for nf in complex_.minimal_non_faces()])
     rows = _boundary_rows(complex_.faces_by_dim())
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
@@ -562,19 +542,13 @@ def _sweep_table(
 
     Tables are cached on the complex, so they go when the complex does, and
     are sorted by key, so their order does not depend on the sweep's.  With
-    `stop_above`, a complex without tables gets None at once when its
-    remembered floor already exceeds the bound, and is otherwise swept by a
-    bounded pass, factor by factor.  Each factor's Euler floor is a lower
-    bound on its totals over both fields, and so is the certified part of
-    its rational table once it is swept; the totals of a join multiply, and
-    so does |chi| (chi(A * B) = -chi(A) chi(B)), so factor i gets the bound
-    `stop_above // done`, where `done` is the product of the finished
-    factors' certified totals: its floor passes that bound exactly when
-    `done` times it passes `stop_above`.  A pass that stops
-    leaves that product as the complex's floor and returns None, so the
-    cache only ever holds complete tables.  Rational ranks of the
-    restrictions the parity certificate left open are computed here, once,
-    the first time the rational table is asked for, one factor at a time.
+    `stop_above`, a complex without tables first gets its Euler floor, the
+    product of its factors' `_euler_floor`s, once, in its `_rank_floor`
+    slot; if the floor passes the bound the result is None and nothing is
+    swept.  Otherwise the same factors, whose certificates the floor has
+    settled, are swept in full.  Rational ranks of the restrictions the
+    parity certificate left open are computed here, once, the first time
+    the rational table is asked for, one factor at a time.
 
     The cache is (GF(2) table, rational table, what the rational table
     still needs): a single sweep keeps its certified rational table and the
@@ -590,23 +564,20 @@ def _sweep_table(
             f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
         )
     if complex_._sweep_tables is None:
-        if stop_above is not None and complex_._rank_floor > stop_above:
-            return None
-        factors = _join_factors(complex_)
-        if factors == (complex_,):
-            tables = _subset_sweep(complex_, stop_above)
-            if tables is None:
+        factors = None
+        if stop_above is not None:
+            if complex_._rank_floor is None:
+                factors = _join_factors(complex_)
+                complex_._rank_floor = prod(_euler_floor(f, _is_sphere(f)) for f in factors)
+            if complex_._rank_floor > stop_above:
                 return None
+        if factors is None:
+            factors = _join_factors(complex_)
+        if factors == (complex_,):
+            tables = _subset_sweep(complex_)
         else:
-            done = 1
-            for factor in factors:
-                bound = None if stop_above is None else stop_above // done
-                if _sweep_table(factor, Field.GF2, cap, bound) is None:
-                    complex_._rank_floor = done * factor._rank_floor
-                    return None
-                done *= sum(factor._sweep_tables[1].values())
             # the rational table waits, until asked for, on the factors'
-            tables = (_convolve(f._sweep_tables[0] for f in factors), None, factors)
+            tables = (_convolve(_sweep_table(f, Field.GF2, cap) for f in factors), None, factors)
         complex_._sweep_tables = tables
     gf2, rational, pending = complex_._sweep_tables
     if field is Field.GF2:
@@ -648,12 +619,11 @@ def hochster_total_rank(
 
     With `stop_above`, a complex not yet swept is first given its Euler
     floor, the sum of |chi(K_J)| over all J, which bounds the total from
-    below over both fields at once.  If that floor, times the totals of the
-    join factors already swept, exceeds the bound, it is the result, and
-    later bounded calls below it, over either field, return it without a
-    sweep; otherwise the sweep runs in full.  So a result at most
-    `stop_above` is the exact total over `field`, and a larger one lies
-    between the bound and that total.
+    below over both fields at once.  If the floor exceeds the bound it is
+    the result, now and in later bounded calls below it over either field;
+    otherwise the sweep runs in full.  So a result at most `stop_above` is
+    the exact total over `field`, and a larger one lies between the bound
+    and that total.
     """
     table = _sweep_table(complex_, field, cap, stop_above)
     return complex_._rank_floor if table is None else sum(table.values())

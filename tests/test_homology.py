@@ -258,7 +258,7 @@ class TestRankCriterion:
 
 class TestBoundedTotal:
     """`stop_above`: exact up to the bound, a lower bound past it, and a
-    pass that stops caches nothing."""
+    call the floor answers caches nothing."""
 
     @staticmethod
     def check_bound(k, field, bound):
@@ -272,7 +272,7 @@ class TestBoundedTotal:
             assert got == exact
         else:
             assert bound < got <= exact
-        # a pass that stopped cached nothing, one that ended complete tables
+        # a call the floor answered cached nothing, one that swept complete tables
         if bounded._sweep_tables is None:
             assert exact > bound
         else:
@@ -356,17 +356,20 @@ def oracle_total(vertices, maximal_faces, field):
 
 
 class TestOneBoundedPass:
-    """A bounded pass leaves a floor, certified for both fields, that decides
-    both criteria; it never eliminates over Q."""
+    """One Euler floor per complex, certified for both fields, decides both
+    criteria; a bounded call never eliminates over Q."""
 
     @pytest.mark.parametrize("make", [lambda: cycle(13), projective_plane])
     def test_recognize_all_sweeps_once(self, monkeypatch, make):
+        # the floor is computed once, for both criteria, and nothing is swept
         k = make()
+        floored = spy(monkeypatch, "_euler_floor")
         swept = spy(monkeypatch, "_subset_sweep")
         verdicts = {r.criterion: r.verdict for r in recognize_all(k).reports}
         assert verdicts["HochsterGF2"] is False
         assert verdicts["HochsterQ"] is False
-        assert len(swept) == 1 and swept[0] is k
+        assert len(floored) == 1 and floored[0] is k
+        assert swept == []
 
     def test_rational_criterion_eliminates_nothing(self, monkeypatch, catalog):
         cube = next(e.complex for e in catalog if e.name == "truncated:cube")
@@ -392,11 +395,11 @@ class TestOneBoundedPass:
         for field in (second, first):
             assert hochster_total_rank(k, field, stop_above=bound) == floor
             assert hochster_total_rank(k, field, stop_above=0) == floor
-        assert swept == [k]
+        assert swept == []
         assert k._sweep_tables is None
         # an unbounded call ignores the floor
         assert hochster_total_rank(k, second) == 18436
-        assert swept == [k, k]
+        assert swept == [k]
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(complexes(), st.builds(projective_plane)), st.data())
@@ -511,9 +514,9 @@ class TestJoinFactors:
         assert calls == []
 
     def test_bounded_pass_stops_on_the_floor_product(self):
-        # the square's total 4 divides the cycle's bound by 4, and the cycle's
-        # Euler floor is its exact total: every restriction of a cycle has
-        # its homology in one degree
+        # the floor is the product of the factors' floors: 2 for each point
+        # pair, and the cycle's exact total, since every restriction of a
+        # cycle has its homology in one degree
         k = simplex_boundary_on([0, 1]).join(simplex_boundary_on([2, 3]))
         k = join_after(k, cycle(13))
         bound = 1 << (k.vertex_count - k.dim - 1)
@@ -527,7 +530,7 @@ class TestJoinFactors:
     @pytest.mark.parametrize("field, exact", [(Field.GF2, 136), (Field.RATIONAL, 128)])
     def test_bounded_pass_after_torsion_factor(self, field, exact):
         # RP^2's floor is its rational total 32, not its GF(2) total 34; the
-        # square after it must get the bound divided by 32
+        # join's floor, 32 times the square's 4, is its rational total
         k = join_after(projective_plane(), cycle(4))
         assert hochster_total_rank(k, field) == exact
         for bound in range(exact + 2):
@@ -690,7 +693,7 @@ class TestSphereCertificate:
         for sphere in (False, homology._certify_sphere(k)):
             copy = copy_of(k, sphere)
             ranked.clear()
-            homology._subset_sweep(copy, None)
+            homology._subset_sweep(copy)
             assert len(ranked) == ranks(half if sphere else non_cone)
 
 
@@ -783,6 +786,35 @@ class TestEulerFloor:
     def test_catalog_and_projective_plane(self, catalog):
         for k in [entry.complex for entry in catalog] + [projective_plane()]:
             self.check(k)
+
+    @staticmethod
+    def check_kept(k):
+        # both criteria leave the floor of the whole complex on it, the
+        # product of its join factors' floors, whether or not it decides them
+        expected = 1 << (k.vertex_count - k.dim - 1)
+        for field in BOTH:
+            exact = oracle_total(k.vertices, k.maximal_faces, field)
+            assert hochster_rank_criterion(k, field) == (exact == expected)
+        assert k._rank_floor == euler_floor_oracle(k.vertices, k.maximal_faces)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(joins(), complexes()))
+    def test_criteria_keep_the_whole_floor(self, k):
+        self.check_kept(k)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            projective_plane,
+            lambda: cycle(5).join(simplex_boundary_on([5, 6])),  # a prism over a pentagon
+            lambda: cycle(4),  # a positive, which its floor does not decide
+            # a join whose first factor's floor alone passes the bound
+            lambda: join_after(projective_plane(), simplex_boundary_on([0, 1])),
+        ],
+        ids=["rp2", "pentagon-prism", "square", "rp2-join-pair"],
+    )
+    def test_criteria_keep_the_whole_floor_fixed(self, make):
+        self.check_kept(make())
 
     @pytest.mark.parametrize(
         "k, faces, width",

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherejoin import (
+    CRITERIA,
     CapExceededError,
+    Field,
     IndexOutOfRangeError,
     PreconditionViolatedError,
     SimplicialComplex,
@@ -22,7 +26,7 @@ from spherejoin import (
 )
 from spherejoin import recognition
 
-from conftest import pinched_octahedron
+from conftest import complexes, pinched_octahedron, spheres
 
 
 @pytest.fixture
@@ -214,18 +218,20 @@ class TestDouble:
         with pytest.raises(CapExceededError):
             check_double(pentagon, cap=9)
 
-    def test_double_decompose_consistency(self, catalog):
-        for entry in catalog:
-            k = entry.complex
-            if k.vertex_count > 6:
-                continue
-            own, _ = decompose_by_non_faces(k)
-            dd, _ = decompose_by_non_faces(double(k))
-            assert (own is None) == (dd is None), entry.name
-            if own is not None:
-                assert sorted(2 * (d + 1) for d in own.dims) == sorted(
-                    d + 1 for d in dd.dims
-                )
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(complexes(), spheres()))
+    def test_double_decompose_consistency(self, k):
+        # check_double no longer compares the double's parts with the
+        # input's: `double` guarantees they are the input's parts lifted,
+        # vertex i of the input becoming the pair 2i, 2i+1
+        own, _ = decompose_by_non_faces(k)
+        dd, _ = decompose_by_non_faces(double(k))
+        assert (own is None) == (dd is None)
+        assert check_double(k).verdict == (own is not None)
+        if own is not None:
+            pair = {v: (2 * i, 2 * i + 1) for i, v in enumerate(k.vertices)}
+            lifted = {frozenset(u for v in p for u in pair[v]) for p in own.parts}
+            assert {frozenset(p) for p in dd.parts} == lifted
 
 
 class TestRecognizeAll:
@@ -272,6 +278,28 @@ class TestRecognizeAll:
     def test_cap_refusal(self, pentagon):
         with pytest.raises(CapExceededError):
             recognize_all(pentagon, cap=4)
+
+    @pytest.mark.parametrize(
+        "fields", [{Field.GF2}, {Field.RATIONAL}, {Field.GF2, Field.RATIONAL}]
+    )
+    @pytest.mark.parametrize(
+        "make, cap",
+        [
+            (lambda: boundary_of_simplex(2).join(simplex_boundary_on([3, 4])), 20),
+            (lambda: build_complex([{0, 1, 2}, {0, 1, 3}], 4), 20),  # TwoFace skipped
+            (lambda: pinched_octahedron(), 20),
+            (lambda: build_complex([{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}], 5), 9),  # Double skipped
+        ],
+    )
+    def test_reports_in_criteria_order(self, fields, make, cap):
+        # every report is appended in CRITERIA order, skipped ones included
+        rep = recognize_all(make(), fields=fields, cap=cap)
+        hochster = {"HochsterGF2": Field.GF2, "HochsterQ": Field.RATIONAL}
+        ran = [
+            c for c in CRITERIA
+            if c != "Dihedral" and (c not in hochster or hochster[c] in fields)
+        ]
+        assert [r.criterion for r in rep.reports] == ran
 
     def test_json_shape(self, square):
         data = recognize_all(square).to_json_dict()
