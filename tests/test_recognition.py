@@ -221,9 +221,9 @@ class TestDouble:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(complexes(), spheres()))
     def test_double_decompose_consistency(self, k):
-        # check_double no longer compares the double's parts with the
-        # input's: `double` guarantees they are the input's parts lifted,
-        # vertex i of the input becoming the pair 2i, 2i+1
+        # check_double trusts `double` to make the double's parts the
+        # input's parts lifted, vertex i of the input becoming the pair
+        # 2i, 2i+1; this holds it to that
         own, _ = decompose_by_non_faces(k)
         dd, _ = decompose_by_non_faces(double(k))
         assert (own is None) == (dd is None)
@@ -287,7 +287,7 @@ class TestRecognizeAll:
         [
             (lambda: boundary_of_simplex(2).join(simplex_boundary_on([3, 4])), 20),
             (lambda: build_complex([{0, 1, 2}, {0, 1, 3}], 4), 20),  # TwoFace skipped
-            (lambda: pinched_octahedron(), 20),
+            (pinched_octahedron, 20),
             (lambda: build_complex([{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}], 5), 9),  # Double skipped
         ],
     )
