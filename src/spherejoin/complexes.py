@@ -129,6 +129,7 @@ class SimplicialComplex:
         "_minimal_non_faces",
         "_sweep_tables",
         "_rank_floor",
+        "_factors",
         "_sphere",
         "__weakref__",
     )
@@ -214,6 +215,8 @@ class SimplicialComplex:
         # on the Hochster total over both fields, by its first bounded call
         self._sweep_tables = None
         self._rank_floor = None
+        # the join factors, kept by the first sweep or floor that asks for them
+        self._factors = None
         # whether the complex is a GF(2) homology sphere: None until the
         # certificate in homology runs, then a bool, or the complex whose
         # answer this one shares (a double's input)
@@ -561,11 +564,15 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
 
     Edges are added one at a time, smallest first.  A minimal transversal
     that already meets the new edge e stays; one that misses it, t, is
-    replaced by t | v for each vertex v of e.  Such a candidate can only
-    contain a transversal that was kept and contains v: a replaced t'
-    inside it would lie inside t, and the transversals form an antichain.
-    So that one test keeps the antichain.  An empty edge leaves no
-    transversal; an empty family has the single transversal 0.
+    replaced by t | v for each vertex v of e that leaves it minimal.  Such
+    a candidate can only contain a transversal k that was kept: a replaced
+    t' inside it would lie inside t, and the transversals form an
+    antichain.  And t | v contains k exactly when k - t is the single bit
+    v, since k meets e and t does not, so k - t is never empty.  So one
+    pass over the kept transversals per missed t ORs together the
+    differences k - t that are single bits, the vertices t must not take,
+    and t | v is new for every other vertex v of e.  An empty edge leaves
+    no transversal; an empty family has the single transversal 0.
     """
     transversals = [0]
     for e in sorted(edges, key=int.bit_count):
@@ -575,15 +582,17 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
         if not missed:
             continue
         grown = kept[:]
-        b = e
-        while b:
-            v = b & -b
-            blockers = [k for k in kept if k & v]
-            for t in missed:
-                c = t | v
-                if not any(k | c == c for k in blockers):
-                    grown.append(c)
-            b ^= v
+        for t in missed:
+            outside, blocked = ~t, 0
+            for k in kept:
+                rest = k & outside
+                if not rest & (rest - 1):
+                    blocked |= rest
+            free = e & ~blocked
+            while free:
+                v = free & -free
+                grown.append(t | v)
+                free ^= v
         transversals = grown
     return transversals
 

@@ -93,7 +93,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from math import prod
-from operator import sub
 
 from .complexes import (
     SimplicialComplex,
@@ -227,19 +226,25 @@ def reduced_betti(complex_: SimplicialComplex, field: Field) -> BettiData:
     return BettiData(reduced={-1: 0, **dict(enumerate(betti))}, field=field)
 
 
-def _subset_transform(n: int, cells, largest: int, add: bool = False) -> array:
+def _array_code(largest: int) -> str:
+    """The typecode of the narrowest unsigned array whose items hold `largest`."""
+    return next((c for c in "BHIQ" if largest >> (8 * array(c).itemsize) == 0), "Q")
+
+
+def _subset_transform(n: int, cells, code: str, add: bool = False) -> int:
     """Entry J, for each of the 2^n subsets J of n bits: the OR, or with
     `add` the sum, of the values of the cells (S, value) with S inside J.
-    The cells name distinct subsets S, and `largest` bounds every entry.
+    The cells name distinct subsets S, and every entry must fit an item of
+    the array typecode `code` (n <= 64 for an OR of subsets; a sweep past
+    that could not finish anyway).
 
     A subset transform, packed into one integer with a w-bit field per
-    subset, w the narrowest array width that holds `largest` (n <= 64 for
-    an OR of subsets; a sweep past that could not finish anyway).  Each of
-    the n steps combines every subset containing bit i with its partner
-    without bit i in a single shift-and-mask; no sum carries out of its
-    field, so the fields load straight into an array.
+    subset, w the item width of `code`, field J at bit w * J; the cells
+    load through an array.  Each of the n steps combines every subset
+    containing bit i with its partner without bit i in a single
+    shift-and-mask, and no sum carries out of its field.  The packed
+    integer is the result; `_unpack` reads it back as an array.
     """
-    code = next((c for c in "BHIQ" if largest >> (8 * array(c).itemsize) == 0), "Q")
     w = 8 * array(code).itemsize
     size = w << n
     table = array(code, [0]) * (1 << n)
@@ -248,20 +253,25 @@ def _subset_transform(n: int, cells, largest: int, add: bool = False) -> array:
     if sys.byteorder == "big":
         table.byteswap()
     packed = int.from_bytes(table.tobytes(), "little")
-    for i in range(n):
-        half = w << i
-        # the fields of subsets containing bit i
-        with_bit = ((1 << half) - 1) << half
-        width = 2 * half
-        while width < size:
-            with_bit |= with_bit << width
-            width *= 2
+    # bit i from the top down: the fields of subsets containing bit i are
+    # runs of 2^i fields, every other run, so each step's mask is the
+    # previous one XOR itself shifted by the new run length
+    with_bit, half = (1 << size) - 1, size
+    for _ in range(n):
+        half >>= 1
+        with_bit ^= with_bit >> half
         if add:
             packed += (packed << half) & with_bit
         else:
             packed |= (packed << half) & with_bit
+    return packed
+
+
+def _unpack(packed: int, n: int, code: str) -> array:
+    """The 2^n fields of a packed table (`_subset_transform`) as an array
+    of typecode `code`."""
     out = array(code)
-    out.frombytes(packed.to_bytes(size // 8, "little"))
+    out.frombytes(packed.to_bytes(out.itemsize << n, "little"))
     if sys.byteorder == "big":
         out.byteswap()
     return out
@@ -270,7 +280,8 @@ def _subset_transform(n: int, cells, largest: int, add: bool = False) -> array:
 def _non_faces_inside(n: int, non_faces: list[int]) -> array:
     """Entry J: the union of the given non-faces that lie inside J, by an
     OR subset transform over the n bits."""
-    return _subset_transform(n, ((nf, nf) for nf in non_faces), (1 << n) - 1)
+    code = _array_code((1 << n) - 1)
+    return _unpack(_subset_transform(n, ((nf, nf) for nf in non_faces), code), n, code)
 
 
 def _euler_floor(complex_: SimplicialComplex, sphere: bool) -> int:
@@ -282,9 +293,17 @@ def _euler_floor(complex_: SimplicialComplex, sphere: bool) -> int:
     numbers of K_J, so |chi(K_J)| is at most their sum, with equality when
     they all sit in degrees of one parity.  chi(K_J) is also the number of
     even-dimensional faces of K inside J minus the number of odd-dimensional
-    ones, the empty face (dimension -1) among them, so two additive subset
-    transforms of the face indicators give it for all 2^m subsets at once,
-    with no elimination; the empty J contributes 1.
+    ones, the empty face (dimension -1) among them, so it comes for all 2^m
+    subsets at once, with no elimination, from one signed packed table: the
+    additive subset transform of the even faces, plus a bias of 2^(w-1) in
+    every w-bit field, minus that of the odd faces.  w is the narrowest
+    width with fewer than 2^(w-1) faces, so every field holds
+    chi(K_J) + 2^(w-1) with no borrow between fields, and its top bit is
+    set exactly when chi(K_J) >= 0.  Masking by the top bits keeps the
+    positive part, and |x| = 2 max(x, 0) - x turns its sum into the
+    answer: the sum of chi(K_J) over all J is, face by face,
+    (-1)^dim f times the 2^(n - |f|) sets J that hold f.  The empty J
+    contributes 1.
 
     On a homology d-sphere `sphere` is True, and Alexander duality gives
     K_J and K_{V-J} the same Betti numbers up to a shift of degrees, so the
@@ -295,15 +314,22 @@ def _euler_floor(complex_: SimplicialComplex, sphere: bool) -> int:
     # on a sphere, the J without the top vertex bit, from the faces without it
     n = complex_.vertex_count - 1 if sphere else complex_.vertex_count
     even, odd = [], [(0, 1)]  # the empty face has dimension -1
+    chi_sum = -(1 << n)  # sum over J of chi(K_J), the empty face in every J
     for d, faces in enumerate(complex_.faces_by_dim()):
-        (odd if d % 2 else even).extend((f, 1) for f in faces if not f >> n)
-    largest = len(even) + len(odd)
-    chi = map(
-        sub,
-        _subset_transform(n, even, largest, add=True),
-        _subset_transform(n, odd, largest, add=True),
+        cells = [(f, 1) for f in faces if not f >> n]
+        (odd if d % 2 else even).extend(cells)
+        chi_sum += (-1) ** d * len(cells) << (n - d - 1)
+    code = _array_code(2 * (len(even) + len(odd)))
+    w = 8 * array(code).itemsize
+    bias = int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * (1 << n), "little")
+    signed = (
+        _subset_transform(n, even, code, add=True)
+        + bias
+        - _subset_transform(n, odd, code, add=True)
     )
-    total = sum(map(abs, chi))
+    top = signed & bias
+    positive = sum(_unpack(signed & (top - (top >> (w - 1))), n, code))
+    total = 2 * positive - chi_sum
     return 2 * total if sphere else total
 
 
@@ -478,8 +504,15 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     that is not a sphere are swept in full, as it would be, so a double
     never certifies anything at its own 2m vertices.  A complex whose
     certificate nobody has asked for leaves it to each factor, which
-    certifies itself, on its own vertices, when it is swept.
+    certifies itself, on its own vertices, when it is swept or floored.
+
+    The factors are kept in the complex's `_factors` slot (an empty tuple
+    when the complex is its own single factor, so it never holds itself),
+    and a sweep after the Euler floor reuses the factors the floor built,
+    with the certificates they settled.
     """
+    if complex_._factors is not None:
+        return complex_._factors or (complex_,)
     non_faces = complex_.minimal_non_faces()
     components: list[int] = []
     for nf in non_faces:
@@ -492,6 +525,7 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
                 rest.append(c)
         components = [*rest, merged]
     if components == [complex_._full_mask]:
+        complex_._factors = ()
         return (complex_,)
     sphere = None if complex_._sphere is None else _is_sphere(complex_)
     factors = []
@@ -506,7 +540,8 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
         raise InternalInvariantError(
             "join factors of the minimal non-faces do not rebuild the complex"
         )
-    return tuple(factors)
+    complex_._factors = tuple(factors)
+    return complex_._factors
 
 
 def _convolve(tables) -> dict[tuple[int, int], int]:
@@ -545,8 +580,9 @@ def _sweep_table(
     `stop_above`, a complex without tables first gets its Euler floor, the
     product of its factors' `_euler_floor`s, once, in its `_rank_floor`
     slot; if the floor passes the bound the result is None and nothing is
-    swept.  Otherwise the same factors, whose certificates the floor has
-    settled, are swept in full.  Rational ranks of the restrictions the
+    swept.  Otherwise, now or in a later unbounded call, the same factors,
+    kept on the complex with the certificates the floor settled, are swept
+    in full.  Rational ranks of the restrictions the
     parity certificate left open are computed here, once, the first time
     the rational table is asked for, one factor at a time.
 
@@ -564,15 +600,12 @@ def _sweep_table(
             f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
         )
     if complex_._sweep_tables is None:
-        factors = None
+        factors = _join_factors(complex_)
         if stop_above is not None:
             if complex_._rank_floor is None:
-                factors = _join_factors(complex_)
                 complex_._rank_floor = prod(_euler_floor(f, _is_sphere(f)) for f in factors)
             if complex_._rank_floor > stop_above:
                 return None
-        if factors is None:
-            factors = _join_factors(complex_)
         if factors == (complex_,):
             tables = _subset_sweep(complex_)
         else:

@@ -1,5 +1,6 @@
 import functools
 import gc
+from array import array
 import weakref
 from itertools import chain, combinations
 
@@ -819,12 +820,17 @@ class TestEulerFloor:
     @pytest.mark.parametrize(
         "k, faces, width",
         [
-            # 254 faces and the empty one fit 8-bit fields
-            (boundary_of_simplex(7), 254, 1),
-            # 255 faces and the empty one do not
+            # 126 faces and the empty one: every field holds chi + 2^7 in a byte
+            (boundary_of_simplex(6), 126, 1),
+            # 127 faces and the empty one need 16-bit fields
+            (SimplicialComplex([range(7)]), 127, 2),
+            # 254 faces and the empty one fit unsigned bytes, not signed ones
+            (boundary_of_simplex(7), 254, 2),
             (SimplicialComplex([range(8)]), 255, 2),
             # 256 odd-dimensional faces with the empty one, at J = V
             (boundary_of_simplex(8), 510, 2),
+            # the complete graph on 12 vertices: chi(K_V) = -1 + 12 - 66, in bytes
+            (SimplicialComplex(combinations(range(12), 2)), 78, 1),
         ],
     )
     def test_field_width_at_the_byte_boundary(self, monkeypatch, k, faces, width):
@@ -833,10 +839,9 @@ class TestEulerFloor:
         widths = []
         transform = homology._subset_transform
 
-        def spy(*args, **kwargs):
-            out = transform(*args, **kwargs)
-            widths.append(out.itemsize)
-            return out
+        def spy(n, cells, code, **kwargs):
+            widths.append(array(code).itemsize)
+            return transform(n, cells, code, **kwargs)
 
         monkeypatch.setattr(homology, "_subset_transform", spy)
         homology._euler_floor(k, False)
