@@ -129,6 +129,29 @@ def euler_floor_oracle(vertices, maximal_faces):
     return total
 
 
+def cycle_oracle(n):
+    """Closed forms for the n-cycle on vertices 0..n-1 in cyclic order,
+    n >= 4: (its minimal non-faces, its Hochster total).
+
+    The minimal non-faces are the pairs of vertices that are not adjacent:
+    a minimal non-face of size three or more would need all its pairs to
+    be edges, a triangle, which no cycle of length four or more contains.
+    The total is the total cohomology rank of the real moment-angle
+    complex of the n-gon, a closed orientable surface of genus
+    g = 1 + (n - 4) 2^(n-3) (Coxeter 1937; Buchstaber and Panov, Toric
+    Topology, 2015), so 2 + 2g = 4 + (n - 4) 2^(n-2) over every field.
+    Every restriction of a cycle has its reduced homology in one degree,
+    so the Euler floor, the sum of |chi| over the restrictions, is the
+    same number.
+    """
+    non_faces = {
+        frozenset({i, j})
+        for i, j in combinations(range(n), 2)
+        if j - i not in (1, n - 1)
+    }
+    return non_faces, 4 + (n - 4) * (1 << (n - 2))
+
+
 def minimal_non_faces_oracle(vertices, maximal_faces):
     faces = all_faces(maximal_faces)
     verts = sorted(vertices)

@@ -16,6 +16,10 @@ from spherejoin import (
     build_complex,
     cycle_length,
     double,
+    dual_boundary_complex,
+    gen_simplex,
+    gen_truncated,
+    incidence_from_hv,
     is_pseudomanifold,
     reconstruct_from_non_faces,
     simplex_boundary_on,
@@ -268,6 +272,19 @@ def edge_families(draw):
     return n, draw(st.permutations(edges))
 
 
+def facet_complements(k):
+    """(vertex count, the complements of the maximal faces as masks)."""
+    return k.vertex_count, [k._full_mask & ~f for f in k._max_masks]
+
+
+def truncation_chain(d, m):
+    """The dual complex of the d-simplex, truncated at vertex 0 until it has m vertices."""
+    inc = incidence_from_hv(*gen_simplex(d))
+    for _ in range(m - d - 1):
+        inc = gen_truncated(inc, 0)
+    return dual_boundary_complex(inc)
+
+
 class TestMinimalTransversals:
     @settings(max_examples=300, deadline=None)
     @given(edge_families())
@@ -275,6 +292,10 @@ class TestMinimalTransversals:
     @example((3, [0]))
     @example((4, [0b0011, 0b0011, 0b0111, 0b1100]))
     @example((5, [0b11111, 0b00001, 0b00110, 0b00010, 0]))
+    # the facet complements of complexes: their minimal transversals are
+    # the minimal non-faces, many more than the random families reach
+    @example(facet_complements(cycle(13)))
+    @example(facet_complements(truncation_chain(4, 12)))
     def test_against_powerset_oracle(self, family):
         n, edges = family
         got = _minimal_transversals(edges)

@@ -36,6 +36,7 @@ from spherejoin import homology
 
 from conftest import complexes, cycle, pinched_octahedron, spheres
 from oracle import (
+    cycle_oracle,
     euler_floor_oracle,
     has_cone_apex_oracle,
     hochster_total_oracle,
@@ -654,6 +655,18 @@ class TestSphereCertificate:
             hochster_rank_via_double(k, field)
             assert certified == [k]
 
+    def test_floor_factors_serve_the_sweep(self, monkeypatch):
+        # the criteria's floor certifies the prism's two factors, and the
+        # unbounded totals after it sweep those same factors: 12 for the
+        # pentagon times 2 for the point pair, over both fields
+        k = cycle(5).join(simplex_boundary_on([5, 6]))
+        certified = spy(monkeypatch, "_certify_sphere")
+        for field in BOTH:
+            assert not hochster_rank_criterion(k, field)
+        for field in BOTH:
+            assert hochster_total_rank(k, field) == 24
+        assert [f.vertex_count for f in certified] == [5, 2]
+
     def test_join_factors_inherit(self):
         k = boundary_of_simplex(2).join(cycle(5).relabel({v: v + 3 for v in range(5)}))
         for sphere in (None, True, False):
@@ -846,6 +859,24 @@ class TestEulerFloor:
         monkeypatch.setattr(homology, "_subset_transform", spy)
         homology._euler_floor(k, False)
         assert widths == [width, width]
+
+
+class TestCycleOracle:
+    """The n-cycle against closed forms up to the vertex cap: its minimal
+    non-faces, from the transversal kernel; its Euler floor, from the
+    signed table, with and without the sphere halving; and, while a full
+    sweep is quick, its Hochster total over both fields."""
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_closed_forms(self, n):
+        non_faces, total = cycle_oracle(n)
+        k = cycle(n)
+        assert set(k.minimal_non_faces()) == non_faces
+        for sphere in (False, True):
+            assert homology._euler_floor(k, sphere) == total
+        if n <= 12:
+            for field in BOTH:
+                assert hochster_total_rank(copy_of(k, None), field) == total
 
 
 class TestViaDouble:
