@@ -215,7 +215,7 @@ class SimplicialComplex:
         # on the Hochster total over both fields, by its first bounded call
         self._sweep_tables = None
         self._rank_floor = None
-        # the join factors, kept by the first sweep or floor that asks for them
+        # a join's factors, kept by the first sweep or floor that splits it
         self._factors = None
         # whether the complex is a GF(2) homology sphere: None until the
         # certificate in homology runs, then a bool, or the complex whose

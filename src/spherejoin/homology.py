@@ -68,10 +68,11 @@ Euler floor for both fields.  Over every field the reduced Euler
 characteristic of K_J is the alternating sum of its reduced Betti numbers,
 so |chi(K_J)| is at most their sum, and L, the sum of |chi(K_J)| over all
 J, is a lower bound on both totals.  chi(K_J) counts the faces of K inside
-J with sign (-1)^dim, the empty face included, so two additive subset
-transforms of the face indicators give it for all 2^m subsets at once
-(`_euler_floor`), over the packed layout the cone table uses
-(`_subset_transform`).  On a certified sphere K_J and K_{V-J} have the
+J with sign (-1)^dim, the empty face included, so one signed packed
+table gives it for all 2^m subsets at once (`_euler_floor`): the additive
+subset transform of the even faces minus that of the odd ones, each field
+biased so that its top bit gives the sign, over the packed layout the cone
+table uses (`_subset_transform`).  On a certified sphere K_J and K_{V-J} have the
 same |chi|, and half the table is summed.  Totals and L multiply over join
 factors (chi(A * B) = -chi(A) chi(B)), so the floor of a join is the
 product of its factors' floors.  It is computed once per complex and kept
@@ -297,12 +298,13 @@ def _euler_floor(complex_: SimplicialComplex, sphere: bool) -> int:
     subsets at once, with no elimination, from one signed packed table: the
     additive subset transform of the even faces, plus a bias of 2^(w-1) in
     every w-bit field, minus that of the odd faces.  w is the narrowest
-    width with fewer than 2^(w-1) faces, so every field holds
-    chi(K_J) + 2^(w-1) with no borrow between fields, and its top bit is
-    set exactly when chi(K_J) >= 0.  Masking by the top bits keeps the
-    positive part, and |x| = 2 max(x, 0) - x turns its sum into the
-    answer: the sum of chi(K_J) over all J is, face by face,
-    (-1)^dim f times the 2^(n - |f|) sets J that hold f.  The empty J
+    array width with fewer than 2^(w-1) faces, the empty one counted, so
+    every field holds chi(K_J) + 2^(w-1) with no borrow between fields, and
+    its top bit is set exactly when chi(K_J) >= 0.  Masking the fields
+    without it, and the top bits themselves, leaves max(chi(K_J), 0), and
+    |x| = 2 max(x, 0) - x gives the answer from one sum over that table and
+    the sum of chi(K_J) over all J, which needs no table: face by face, it
+    is (-1)^dim f times the 2^(n - |f|) sets J that hold f.  The empty J
     contributes 1.
 
     On a homology d-sphere `sphere` is True, and Alexander duality gives
@@ -506,13 +508,13 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     certificate nobody has asked for leaves it to each factor, which
     certifies itself, on its own vertices, when it is swept or floored.
 
-    The factors are kept in the complex's `_factors` slot (an empty tuple
-    when the complex is its own single factor, so it never holds itself),
-    and a sweep after the Euler floor reuses the factors the floor built,
-    with the certificates they settled.
+    A join keeps its factors in its `_factors` slot (a complex that is its
+    own single factor keeps nothing, so it never holds itself), and a
+    sweep after the Euler floor reuses the factors the floor built, with
+    the certificates they settled.
     """
     if complex_._factors is not None:
-        return complex_._factors or (complex_,)
+        return complex_._factors
     non_faces = complex_.minimal_non_faces()
     components: list[int] = []
     for nf in non_faces:
@@ -525,7 +527,6 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
                 rest.append(c)
         components = [*rest, merged]
     if components == [complex_._full_mask]:
-        complex_._factors = ()
         return (complex_,)
     sphere = None if complex_._sphere is None else _is_sphere(complex_)
     factors = []
@@ -586,9 +587,10 @@ def _sweep_table(
     parity certificate left open are computed here, once, the first time
     the rational table is asked for, one factor at a time.
 
-    The cache is (GF(2) table, rational table, what the rational table
-    still needs): a single sweep keeps its certified rational table and the
-    subsets left open, a join keeps no rational table and its factors.  On
+    The cache is (GF(2) table, rational table, subsets left open): a single
+    sweep keeps its certified rational table and the subsets the parity
+    test left open, a join keeps no rational table until it is asked for,
+    and then convolves its kept factors' rational tables.  On
     a certified homology sphere an open subset J also stands for V - J: its
     rational row is credited to both, dualized for V - J, so the larger
     restriction is never eliminated.  Which factors are certified is
@@ -600,23 +602,26 @@ def _sweep_table(
             f"subset sweep over {complex_.vertex_count} vertices exceeds cap {cap}"
         )
     if complex_._sweep_tables is None:
-        factors = _join_factors(complex_)
         if stop_above is not None:
             if complex_._rank_floor is None:
-                complex_._rank_floor = prod(_euler_floor(f, _is_sphere(f)) for f in factors)
+                complex_._rank_floor = prod(
+                    _euler_floor(f, _is_sphere(f)) for f in _join_factors(complex_)
+                )
             if complex_._rank_floor > stop_above:
                 return None
+        factors = _join_factors(complex_)
         if factors == (complex_,):
             tables = _subset_sweep(complex_)
         else:
             # the rational table waits, until asked for, on the factors'
-            tables = (_convolve(_sweep_table(f, Field.GF2, cap) for f in factors), None, factors)
+            tables = (_convolve(_sweep_table(f, Field.GF2, cap) for f in factors), None, ())
         complex_._sweep_tables = tables
     gf2, rational, pending = complex_._sweep_tables
     if field is Field.GF2:
         return gf2
     if rational is None:
-        rational = _convolve(_sweep_table(f, Field.RATIONAL, cap) for f in pending)
+        factors = _join_factors(complex_)
+        rational = _convolve(_sweep_table(f, Field.RATIONAL, cap) for f in factors)
     elif not pending:
         return rational
     else:
