@@ -71,9 +71,9 @@ J, is a lower bound on both totals.  chi(K_J) counts the faces of K inside
 J with sign (-1)^dim, the empty face included, so one signed packed
 table gives it for all 2^m subsets at once (`_euler_floor`): the additive
 subset transform of the even faces minus that of the odd ones, each field
-biased so that its top bit gives the sign, over the packed layout the cone
-table uses (`_subset_transform`).  On a certified sphere K_J and K_{V-J} have the
-same |chi|, and half the table is summed.  Totals and L multiply over join
+biased so that its top bit gives the sign, over the packed layout the
+cone table uses (`_subset_transform`).  On a certified sphere K_J and
+K_{V-J} have the same |chi|, and half the table is summed.  Totals and L multiply over join
 factors (chi(A * B) = -chi(A) chi(B)), so the floor of a join is the
 product of its factors' floors.  It is computed once per complex and kept
 on it.  When L passes 2^(m - dim K - 1) both criteria answer no and
@@ -583,17 +583,17 @@ def _sweep_table(
     slot; if the floor passes the bound the result is None and nothing is
     swept.  Otherwise, now or in a later unbounded call, the same factors,
     kept on the complex with the certificates the floor settled, are swept
-    in full.  Rational ranks of the restrictions the
-    parity certificate left open are computed here, once, the first time
-    the rational table is asked for, one factor at a time.
+    in full.  Rational ranks of the restrictions the parity certificate
+    left open are computed here, once, the first time the rational table
+    is asked for, one factor at a time.
 
     The cache is (GF(2) table, rational table, subsets left open): a single
     sweep keeps its certified rational table and the subsets the parity
     test left open, a join keeps no rational table until it is asked for,
-    and then convolves its kept factors' rational tables.  On
-    a certified homology sphere an open subset J also stands for V - J: its
-    rational row is credited to both, dualized for V - J, so the larger
-    restriction is never eliminated.  Which factors are certified is
+    and then convolves its kept factors' rational tables.  On a certified
+    homology sphere an open subset J also stands for V - J: its rational
+    row is credited to both, dualized for V - J, so the larger restriction
+    is never eliminated.  Which factors are certified is
     settled by `_join_factors` and `_subset_sweep`; no knob turns duality
     on or off.
     """
@@ -620,8 +620,7 @@ def _sweep_table(
     if field is Field.GF2:
         return gf2
     if rational is None:
-        factors = _join_factors(complex_)
-        rational = _convolve(_sweep_table(f, Field.RATIONAL, cap) for f in factors)
+        rational = _convolve(_sweep_table(f, Field.RATIONAL, cap) for f in _join_factors(complex_))
     elif not pending:
         return rational
     else:

@@ -1,7 +1,7 @@
 import functools
 import gc
-from array import array
 import weakref
+from array import array
 from itertools import chain, combinations
 
 import pytest
@@ -833,15 +833,15 @@ class TestEulerFloor:
     @pytest.mark.parametrize(
         "k, faces, width",
         [
-            # 126 faces and the empty one: every field holds chi + 2^7 in a byte
-            (boundary_of_simplex(6), 126, 1),
-            # 127 faces and the empty one need 16-bit fields
-            (SimplicialComplex([range(7)]), 127, 2),
             # 254 faces and the empty one fit unsigned bytes, not signed ones
             (boundary_of_simplex(7), 254, 2),
             (SimplicialComplex([range(8)]), 255, 2),
             # 256 odd-dimensional faces with the empty one, at J = V
             (boundary_of_simplex(8), 510, 2),
+            # 126 faces and the empty one: every field holds chi + 2^7 in a byte
+            (boundary_of_simplex(6), 126, 1),
+            # 127 faces and the empty one need 16-bit fields
+            (SimplicialComplex([range(7)]), 127, 2),
             # the complete graph on 12 vertices: chi(K_V) = -1 + 12 - 66, in bytes
             (SimplicialComplex(combinations(range(12), 2)), 78, 1),
         ],
