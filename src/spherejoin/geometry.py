@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -366,10 +367,33 @@ def polytope_to_json_dict(hrep: PolytopeHRep, vrep: PolytopeVRep) -> dict:
     }
 
 
+# Fraction builds a coordinate's digits and its power of ten in full, so
+# "1e999999999" alone would be a 415 MB integer.  Past this many digits, or
+# a decimal exponent past it in size, a coordinate is refused unread.
+COORDINATE_DIGIT_LIMIT = 100_000
+
+_EXPONENT = re.compile(r"e[-+]?(\d[\d_]*)\s*\Z", re.IGNORECASE)
+
+
 def _json_fraction(x, key: str) -> Fraction:
-    """A polytope JSON coordinate under `key`; a zero denominator is bad input."""
+    """A polytope JSON coordinate under `key`; a zero denominator, or more
+    digits or a larger exponent than `COORDINATE_DIGIT_LIMIT`, is bad input."""
+    text = str(x)
+    if sum(map(str.isdecimal, text)) > COORDINATE_DIGIT_LIMIT:
+        raise InvalidParameterError(
+            f'"{key}" entry has more than {COORDINATE_DIGIT_LIMIT} digits'
+        )
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        # compared by length first: a long digit string is never converted
+        power = exponent[1].replace("_", "").lstrip("0")
+        limit = str(COORDINATE_DIGIT_LIMIT)
+        if len(power) > len(limit) or int(power or 0) > COORDINATE_DIGIT_LIMIT:
+            raise InvalidParameterError(
+                f'"{key}" entry has a decimal exponent past {COORDINATE_DIGIT_LIMIT}'
+            )
     try:
-        return Fraction(str(x))
+        return Fraction(text)
     except ZeroDivisionError:
         raise InvalidParameterError(f'"{key}" entry {x!r} has a zero denominator') from None
 

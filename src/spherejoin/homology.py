@@ -16,7 +16,8 @@ single pass over the subsets J:
   non-faces gives, per J, the union of those inside it; K_J is a cone, and
   acyclic over every field, unless that union is J itself.
 - The remaining restrictions are ranked once each, over GF(2), from
-  boundary rows computed once per complex.
+  boundary rows of the complex, built one dimension at a time as the
+  ranked restrictions first need them.
 - Rational ranks from GF(2) ranks.  An integer matrix has rank mod 2 at
   most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree;
   both alternating sums equal the reduced Euler characteristic.  If the
@@ -52,7 +53,7 @@ complex without it is swept in full.
 
 The reduced Betti numbers of a full subcomplex K_J have one kernel per
 field, and everything above goes through them.  `_gf2_betti` ranks the
-GF(2) boundary rows that `_boundary_rows` builds once per complex, keeping
+GF(2) boundary rows of the complex that `_boundary_rows` builds, keeping
 those of faces inside J; `_rational_betti` ranks signed integer rows over
 the faces of K_J by fraction-free elimination.  The sweep, the sphere
 certificate and `reduced_betti` share the GF(2) kernel; the rational one
@@ -173,7 +174,8 @@ def _boundary_rows(by_dim: list[list[int]]) -> list[list[tuple[int, int]]]:
 def _gf2_betti(rows: list[list[tuple[int, int]]], jmask: int) -> list[int]:
     """Reduced GF(2) Betti numbers [b_0, b_1, ...] of the restriction to the
     nonempty vertex set `jmask`, from `_boundary_rows` of the complex; the
-    list ends at the top dimension of the restriction."""
+    list ends at the top dimension of the restriction.  Rows that reach
+    that dimension are enough, since no row above it holds a face inside J."""
     notj = ~jmask
     # the augmentation of a nonempty J has rank 1
     betti = [jmask.bit_count() - 1]
@@ -426,7 +428,13 @@ def _subset_sweep(
     Every other restriction is ranked once, over GF(2), by `_gf2_betti`.
     A face's boundary lies in K_J whenever the face does, so each face's
     GF(2) boundary row, indexed by the faces one dimension down in K, is
-    computed once (`_boundary_rows`) and serves every J.
+    computed once (`_boundary_rows`) and serves every J.  Rows are built
+    one dimension at a time, as far as the ranked J need: a J that is not
+    a cone holds a minimal non-face, so K_J has no face of dimension
+    |J| - 1, and the rows of the dimensions below rank it.  The pass
+    starts with no rows, extends them when a J is larger than those they
+    cover, and stops checking once they reach the top dimension of K; a
+    pass that ranks no J enumerates no faces at all.
 
     Rational ranks from GF(2) ranks: an integer matrix has rank mod 2 at
     most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree,
@@ -456,7 +464,8 @@ def _subset_sweep(
     m = complex_.vertex_count
     sphere = _is_sphere(complex_)
     inside = _non_faces_inside(m, [complex_._mask(nf) for nf in complex_.minimal_non_faces()])
-    rows = _boundary_rows(complex_.faces_by_dim())
+    rows: list[list[tuple[int, int]]] = []
+    covered = 2  # `rows` ranks every visited J of at most this size
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
     rational = dict(gf2)
     uncertified = []
@@ -467,6 +476,11 @@ def _subset_sweep(
         size = jmask.bit_count()
         if sphere and (2 * size > m or (2 * size == m and jmask & top)):
             continue
+        if size > covered:
+            # J holds a minimal non-face, so K_J has no face of dimension
+            # |J| - 1: the rows of the dimensions below it rank K_J
+            rows += _boundary_rows(complex_.faces_by_dim()[len(rows) : size - 1])
+            covered = size if len(rows) < complex_.dim else m
         betti = _gf2_betti(rows, jmask)
         certified = not (any(betti[::2]) and any(betti[1::2]))
         for d, b in enumerate(betti):

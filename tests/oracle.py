@@ -6,7 +6,8 @@ plain list-of-rows elimination.  Only usable at small sizes.
 
 The constructor references are the frozenset forms the mask code
 replaced: canonical faces level by level, and the double lifted face by
-face.
+face.  The sweep reference is the subset sweep with every boundary row
+built before anything is ranked.
 
 The criterion references at the end are plain versions of the library's
 criteria: every face enumerated, every link built, every edge found by a
@@ -35,6 +36,7 @@ from spherejoin import (
     cycle_length,
     simplex_boundary_on,
 )
+from spherejoin import homology
 
 
 def powerset(iterable):
@@ -150,6 +152,39 @@ def cycle_oracle(n):
         if j - i not in (1, n - 1)
     }
     return non_faces, 4 + (n - 4) * (1 << (n - 2))
+
+
+def subset_sweep_reference(k):
+    """`homology._subset_sweep` with every boundary row of K built before
+    any subset is ranked: the same subsets visited, each ranked over GF(2)
+    on the rows of every dimension, with the same cone skip, parity test
+    and duality halving."""
+    m = k.vertex_count
+    sphere = homology._is_sphere(k)
+    inside = homology._non_faces_inside(m, [k._mask(nf) for nf in k.minimal_non_faces()])
+    rows = homology._boundary_rows(k.faces_by_dim())
+    gf2 = {(0, -1): 1}
+    rational = dict(gf2)
+    uncertified = []
+    for jmask in range(1, 1 << m):
+        size = jmask.bit_count()
+        if inside[jmask] != jmask or (
+            sphere and (2 * size > m or (2 * size == m and jmask >> (m - 1)))
+        ):
+            continue
+        betti = homology._gf2_betti(rows, jmask)
+        certified = not (any(betti[::2]) and any(betti[1::2]))
+        for d, b in enumerate(betti):
+            if b:
+                gf2[(size, d)] = gf2.get((size, d), 0) + b
+                if certified:
+                    rational[(size, d)] = rational.get((size, d), 0) + b
+        if not certified:
+            uncertified.append(jmask)
+    if sphere:
+        gf2 = homology._with_duals(gf2, m, k.dim)
+        rational = homology._with_duals(rational, m, k.dim)
+    return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
 
 
 def minimal_non_faces_oracle(vertices, maximal_faces):

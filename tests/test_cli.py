@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from spherejoin import (
     incidence_from_hv,
     simplex_boundary_on,
 )
-from spherejoin import complexes
+from spherejoin import complexes, geometry
 from spherejoin.cli import main
 from spherejoin.geometry import polytope_to_json_dict
 
@@ -190,6 +191,57 @@ class TestMalformedEntries:
         code, out, err = run(capsys, "recognize", "--in", str(path), "--assert")
         assert (code, out) == (2, "")
         assert err.startswith(f'error: "{key}" entry') and err.count("\n") == 1
+
+    @staticmethod
+    def recognize_segment(capsys, tmp_path, monkeypatch, normal="1", offset="0", vertex="0"):
+        """`recognize` on the segment 0 <= x <= 1 with the given JSON for one
+        coordinate.  Fraction reads only the short coordinates, so a bound
+        that fails stops the test before a huge integer is built."""
+
+        def short_only(text):
+            assert len(text) < 8, f"Fraction reached with {len(text)} characters"
+            return Fraction(text)
+
+        monkeypatch.setattr(geometry, "Fraction", short_only)
+        path = tmp_path / "segment.json"
+        path.write_text(
+            f'{{"dim": 1, "inequalities": [{{"normal": [{normal}], "offset": {offset}}},'
+            f' {{"normal": [-1], "offset": -1}}], "vertices": [[{vertex}], [1]]}}'
+        )
+        return run(capsys, "recognize", "--in", str(path), "--assert")
+
+    def test_coordinate_exponent_past_limit(self, capsys, tmp_path, monkeypatch):
+        # 10^1000000, a 3.3-million-bit integer
+        code, out, err = self.recognize_segment(capsys, tmp_path, monkeypatch, vertex='"1e1000000"')
+        assert (code, out) == (2, "")
+        assert err == 'error: "vertices" entry has a decimal exponent past 100000\n'
+
+    def test_coordinate_exponent_far_past_limit(self, capsys, tmp_path, monkeypatch):
+        # 11 characters that would make a 415 MB integer
+        code, out, err = self.recognize_segment(capsys, tmp_path, monkeypatch, normal='"1e999999999"')
+        assert (code, out) == (2, "")
+        assert err == 'error: "normal" entry has a decimal exponent past 100000\n'
+
+    def test_coordinate_negative_exponent_past_limit(self, capsys, tmp_path, monkeypatch):
+        # a denominator of 10^100001, written with a sign and an underscore
+        code, out, err = self.recognize_segment(capsys, tmp_path, monkeypatch, offset='"-1E-100_001"')
+        assert (code, out) == (2, "")
+        assert err == 'error: "offset" entry has a decimal exponent past 100000\n'
+
+    def test_coordinate_digits_past_limit(self, capsys, tmp_path, monkeypatch):
+        digits = "7" * (geometry.COORDINATE_DIGIT_LIMIT - 3)
+        code, out, err = self.recognize_segment(
+            capsys, tmp_path, monkeypatch, vertex=f'"{digits}/1234"'
+        )
+        assert (code, out) == (2, "")
+        assert err == 'error: "vertices" entry has more than 100000 digits\n'
+
+    def test_coordinates_at_the_limit_are_read(self):
+        limit = geometry.COORDINATE_DIGIT_LIMIT
+        assert geometry._json_fraction(f"1e{limit}", "vertices") == 10**limit
+        assert geometry._json_fraction(f"-2.5E-{limit}", "offset") == Fraction(-25, 10 ** (limit + 1))
+        assert geometry._json_fraction("1e" + "0" * 20 + "7", "normal") == 10**7
+        assert geometry._json_fraction(1e300, "normal") == Fraction(str(1e300))
 
 
 def valid_documents():

@@ -41,6 +41,7 @@ from oracle import (
     has_cone_apex_oracle,
     hochster_total_oracle,
     reduced_betti_oracle,
+    subset_sweep_reference,
 )
 
 BOTH = (Field.GF2, Field.RATIONAL)
@@ -748,6 +749,70 @@ class TestAlexanderDuality:
         for entry in catalog:
             if 2 * entry.complex.vertex_count <= 14:
                 self.check(double(copy_of(entry.complex, None)))
+
+
+class TestLazyRows:
+    """The sweep builds boundary rows one dimension at a time, as far as
+    the restrictions it ranks need.  K_J has no face of dimension |J|, so a
+    J reads only the rows below that dimension; a J that is not a face, as
+    every J the sweep ranks holds a minimal non-face, has none of
+    dimension |J| - 1 either."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(complexes(), spheres()))
+    def test_rows_cut_at_the_size_of_j(self, k):
+        by_dim = k.faces_by_dim()
+        full = homology._boundary_rows(by_dim)
+        cut = [homology._boundary_rows(by_dim[:size]) for size in range(k.vertex_count + 1)]
+        faces = set(chain.from_iterable(by_dim))
+        for jmask in range(1, 1 << k.vertex_count):
+            betti = homology._gf2_betti(full, jmask)
+            size = jmask.bit_count()
+            assert homology._gf2_betti(cut[size], jmask) == betti
+            if jmask not in faces:
+                assert homology._gf2_betti(cut[size - 1], jmask) == betti
+        # rows extended dimension by dimension are the rows of the longer cut
+        for a, b in combinations(range(2, k.vertex_count + 1), 2):
+            assert cut[a] + homology._boundary_rows(by_dim[a - 1 : b]) == cut[b]
+        for sphere in (None, False):
+            assert homology._subset_sweep(copy_of(k, sphere)) == subset_sweep_reference(
+                copy_of(k, sphere)
+            )
+
+    def test_sweep_that_ranks_nothing_builds_no_rows(self, monkeypatch):
+        # every restriction these sweeps visit is a cone: the double of the
+        # 4-simplex boundary is the 9-simplex boundary, and the double of
+        # the join of a point pair and a triangle joins those of the 3- and
+        # 5-simplex; each total is the empty J and its dual, K itself.  The
+        # inputs are certified spheres first, at their own vertices, and the
+        # doubles inherit that
+        inputs = [
+            boundary_of_simplex(4),
+            simplex_boundary_on([0, 1]).join(simplex_boundary_on([2, 3, 4])),
+        ]
+        assert all(homology._is_sphere(k) for k in inputs)
+        built = spy(monkeypatch, "_boundary_rows")
+        k = double(inputs[0])
+        assert hochster_total_rank(k, Field.GF2) == 2
+        assert k._faces_by_dim is None
+        k = double(inputs[1])
+        for field in BOTH:
+            assert hochster_total_rank(k, field) == 4
+        factors = homology._join_factors(k)
+        assert [f.vertex_count for f in factors] == [4, 6]
+        assert all(f._faces_by_dim is None for f in (k, *factors))
+        assert built == []
+
+    def test_doubles_of_catalog_match_full_rows(self, catalog):
+        # the factors crosscheck's doubled identity sweeps, against the
+        # sweep that builds every row first
+        for entry in catalog:
+            if 2 * entry.complex.vertex_count > 16:
+                continue
+            lazy = homology._join_factors(double(copy_of(entry.complex, None)))
+            full = homology._join_factors(double(copy_of(entry.complex, None)))
+            for a, b in zip(lazy, full, strict=True):
+                assert homology._subset_sweep(a) == subset_sweep_reference(b), entry.name
 
 
 class TestBettiKernel:
