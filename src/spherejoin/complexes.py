@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -677,6 +678,53 @@ def down_closure(masks) -> list[list[int]]:
                 below.add(f ^ low)
                 b ^= low
     return [sorted(level) for level in levels[1:]]
+
+
+def face_levels(vertex_count: int, non_faces) -> Iterator[list[int]]:
+    """The nonempty faces of the complex on bits 0..vertex_count-1 with the
+    given minimal non-face masks, one sorted level per `next()`: the
+    vertices first, then the edges, and so on up to the top dimension.
+
+    A (k+1)-set f | v, with v above the top bit of f, is a face exactly
+    when it is not a minimal non-face and each of its k-subsets is a face.
+    So each k-face f keeps the mask of the bits v above its top bit for
+    which f | v is a face.  For g = f | v that mask is f's mask above v,
+    ANDed with the masks of the k-faces (f - b) | v, b a bit of f, whose
+    top bit is v; then the top bit of each minimal non-face that g and one
+    more bit form is cleared.  A level is listed before the masks that make
+    the next one are computed, so a caller that stops after level k pays
+    nothing for level k + 1.  `down_closure` is faster when every level is
+    wanted.  A listed non-face that holds a smaller one changes nothing.
+    """
+    by_size: dict[int, list[int]] = {}
+    for nf in non_faces:
+        by_size.setdefault(nf.bit_count(), []).append(nf)
+    # the empty face, extended by every vertex
+    above = {0: (1 << vertex_count) - 1}
+    size = 0
+    while True:
+        for nf in by_size.get(size + 1, ()):
+            top = 1 << (nf.bit_length() - 1)
+            if nf ^ top in above:
+                above[nf ^ top] &= ~top
+        level = sorted(f | v for f, e in above.items() for v in bits(e))
+        if not level:
+            return
+        yield level
+        grown = {}
+        for f, e in above.items():
+            while e:
+                v = e & -e
+                e ^= v
+                # e is now f's mask above v
+                mask, b = e, f
+                while b and mask:
+                    low = b & -b
+                    mask &= above[f ^ low | v]
+                    b ^= low
+                grown[f | v] = mask
+        above = grown
+        size += 1
 
 
 def relabelled_masks(masks, support: int) -> tuple[int, frozenset[int]]:

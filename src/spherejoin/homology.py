@@ -94,6 +94,7 @@ import enum
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
 
 from .complexes import (
@@ -101,7 +102,9 @@ from .complexes import (
     bits,
     compress_masks,
     cycle_length_masks,
+    double,
     down_closure,
+    face_levels,
     relabelled_masks,
 )
 from .errors import CapExceededError, InternalInvariantError, InvalidDimensionError
@@ -463,7 +466,10 @@ def _subset_sweep(
     """
     m = complex_.vertex_count
     sphere = _is_sphere(complex_)
-    inside = _non_faces_inside(m, [complex_._mask(nf) for nf in complex_.minimal_non_faces()])
+    non_faces = _non_face_masks(complex_)
+    inside = _non_faces_inside(m, non_faces)
+    levels = face_levels(m, non_faces)
+    by_dim: list[list[int]] = []  # the levels pulled so far
     rows: list[list[tuple[int, int]]] = []
     covered = 2  # `rows` ranks every visited J of at most this size
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
@@ -478,9 +484,11 @@ def _subset_sweep(
             continue
         if size > covered:
             # J holds a minimal non-face, so K_J has no face of dimension
-            # |J| - 1: the rows of the dimensions below it rank K_J
-            rows += _boundary_rows(complex_.faces_by_dim()[len(rows) : size - 1])
-            covered = size if len(rows) < complex_.dim else m
+            # |J| - 1: the levels up to dimension |J| - 2 rank K_J
+            new = list(islice(levels, size - 1 - len(by_dim)))
+            rows += _boundary_rows(by_dim[-1:] + new)
+            by_dim += new
+            covered = size if len(by_dim) <= complex_.dim else m
         betti = _gf2_betti(rows, jmask)
         certified = not (any(betti[::2]) and any(betti[1::2]))
         for d, b in enumerate(betti):
@@ -495,6 +503,11 @@ def _subset_sweep(
         gf2 = _with_duals(gf2, m, complex_.dim)
         rational = _with_duals(rational, m, complex_.dim)
     return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
+
+
+def _non_face_masks(complex_: SimplicialComplex) -> list[int]:
+    """The minimal non-faces of `complex_` as masks over its vertex bits."""
+    return [complex_._mask(nf) for nf in complex_.minimal_non_faces()]
 
 
 def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
@@ -640,7 +653,11 @@ def _sweep_table(
     else:
         # a fresh table, swapped in whole, so concurrent callers never add twice
         rational = dict(rational)
-        by_dim = complex_.faces_by_dim()
+        # an open J holds a minimal non-face, so the levels up to
+        # dimension |J| - 2 rank it, as in the sweep
+        largest = max(map(int.bit_count, pending))
+        levels = face_levels(complex_.vertex_count, _non_face_masks(complex_))
+        by_dim = list(islice(levels, largest - 1))
         opened: dict[tuple[int, int], int] = {}
         for jmask in pending:
             for d, b in enumerate(_rational_betti(by_dim, jmask)):
@@ -705,8 +722,6 @@ def hochster_rank_via_double(
     space of the input, which must agree with the real one's total rank
     whenever the input is a polytopal sphere.
     """
-    from .complexes import double
-
     if 2 * complex_.vertex_count > cap:
         raise CapExceededError(
             f"double needs a sweep over {2 * complex_.vertex_count} vertices, cap is {cap}"

@@ -1,4 +1,5 @@
 import json
+from itertools import chain, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from spherejoin import (
     simplex_boundary_on,
 )
 from spherejoin import complexes as complexes_module
-from spherejoin.complexes import _minimal_transversals
+from spherejoin.complexes import _minimal_transversals, face_levels
 
 from conftest import complexes, cycle, spheres
 from oracle import all_faces, double_oracle, minimal_non_faces_oracle, minimal_transversals_oracle
@@ -102,6 +103,23 @@ class TestBasicInvariants:
             assert all(f.bit_count() == d + 1 for f in level)
         got = {tuple(sorted(k._unmask(f))) for level in by_dim for f in level}
         assert got == all_faces(k.maximal_faces) - {()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(complexes(), spheres(), spheres().map(double)))
+    @example(double(cycle(5)))
+    @example(double(cycle(6)))
+    @example(SimplicialComplex([]))
+    def test_face_levels_match_down_closure(self, k):
+        # bottom-up from the minimal non-faces, level by level, the lists
+        # `faces_by_dim` gets top-down from the maximal faces
+        by_dim = k.faces_by_dim()
+        non_faces = [k._mask(nf) for nf in k.minimal_non_faces()]
+        for n in range(len(by_dim) + 2):
+            levels = list(islice(face_levels(k.vertex_count, non_faces), n))
+            assert levels == by_dim[:n]
+        yielded = list(chain.from_iterable(face_levels(k.vertex_count, non_faces)))
+        assert len(yielded) == len(set(yielded)) == sum(map(len, by_dim))
+        assert not set(yielded) & set(non_faces)
 
     def test_membership(self, square):
         assert {0, 1} in square

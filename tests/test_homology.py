@@ -352,6 +352,21 @@ def spy(monkeypatch, name):
     return calls
 
 
+def level_spy(monkeypatch):
+    """Replace `homology.face_levels` by a wrapper that records the
+    dimension of each level as it is pulled."""
+    pulled = []
+    original = homology.face_levels
+
+    def levels(*args):
+        for d, level in enumerate(original(*args)):
+            pulled.append(d)
+            yield level
+
+    monkeypatch.setattr(homology, "face_levels", levels)
+    return pulled
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_total(vertices, maximal_faces, field):
     """`hochster_total_oracle`, once per complex: hypothesis draws RP^2 often."""
@@ -792,6 +807,7 @@ class TestLazyRows:
         ]
         assert all(homology._is_sphere(k) for k in inputs)
         built = spy(monkeypatch, "_boundary_rows")
+        pulled = level_spy(monkeypatch)
         k = double(inputs[0])
         assert hochster_total_rank(k, Field.GF2) == 2
         assert k._faces_by_dim is None
@@ -801,7 +817,48 @@ class TestLazyRows:
         factors = homology._join_factors(k)
         assert [f.vertex_count for f in factors] == [4, 6]
         assert all(f._faces_by_dim is None for f in (k, *factors))
-        assert built == []
+        assert built == pulled == []
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("field", BOTH)
+    def test_doubled_sweep_builds_faces_as_far_as_it_ranks(self, monkeypatch, n, field):
+        # the pentagon's double has faces up to dimension 6, the hexagon's
+        # up to 7, but their sweeps rank J of at most 4 and 6 vertices: no
+        # full face list is built, and no level above dimension |J| - 2
+        closed = []
+        closure = complexes_module.down_closure
+        monkeypatch.setattr(
+            complexes_module, "down_closure", lambda masks: closed.append(masks) or closure(masks)
+        )
+        monkeypatch.setattr(homology, "down_closure", complexes_module.down_closure)
+        ranked = []
+        gf2_betti = homology._gf2_betti
+        monkeypatch.setattr(
+            homology, "_gf2_betti", lambda rows, jmask: ranked.append(jmask) or gf2_betti(rows, jmask)
+        )
+        pulled = level_spy(monkeypatch)
+        k = double(cycle(n))
+        assert hochster_total_rank(k, field) == cycle_oracle(n)[1]
+        assert k._faces_by_dim is None
+        assert closed == []
+        assert max(map(int.bit_count, ranked)) == {5: 4, 6: 6}[n]
+        assert pulled == list(range(max(map(int.bit_count, ranked)) - 1))
+
+    def test_open_restrictions_read_partial_levels(self, monkeypatch):
+        # three tetrahedra around the edge {0, 1}, and a point: K_J for
+        # J = {2, 3, 4, 5} is a hollow triangle and the point, with GF(2)
+        # homology in degrees 0 and 1, so the parity test leaves it open.
+        # Its rational ranks read the levels up to dimension 2 of 3
+        k = build_complex([{0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1, 3, 4}, {5}], 6)
+        opened = spy(monkeypatch, "_rational_betti")
+        pulled = level_spy(monkeypatch)
+        total = hochster_total_rank(k, Field.RATIONAL)
+        assert total == hochster_total_oracle(k.vertices, k.maximal_faces, "q")
+        assert [len(by_dim) for by_dim in opened] == [3]
+        assert k.dim == 3 and k._faces_by_dim is None
+        # the sweep, which ranks K itself, pulls all four levels; the open
+        # J three, anew
+        assert pulled == [0, 1, 2, 3, 0, 1, 2]
 
     def test_doubles_of_catalog_match_full_rows(self, catalog):
         # the factors crosscheck's doubled identity sweeps, against the
