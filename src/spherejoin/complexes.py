@@ -285,7 +285,10 @@ class SimplicialComplex:
 
         The empty face is not included.  The output is exponential in the
         size of the maximal faces; only call this where the face count is
-        moderate.
+        moderate.  Its readers need every face: the Euler floor, the
+        homology-sphere certificate, reduced Betti numbers and the
+        f-vector.  The subset sweep reads only its lowest levels, and
+        builds them itself with `face_levels`.
         """
         if self._faces_by_dim is None:
             self._faces_by_dim = down_closure(self._max_masks)
@@ -694,7 +697,7 @@ def face_levels(vertex_count: int, non_faces) -> Iterator[list[int]]:
     more bit form is cleared.  A level is listed before the masks that make
     the next one are computed, so a caller that stops after level k pays
     nothing for level k + 1.  `down_closure` is faster when every level is
-    wanted.  A listed non-face that holds a smaller one changes nothing.
+    wanted.
     """
     by_size: dict[int, list[int]] = {}
     for nf in non_faces:
@@ -704,9 +707,9 @@ def face_levels(vertex_count: int, non_faces) -> Iterator[list[int]]:
     size = 0
     while True:
         for nf in by_size.get(size + 1, ()):
+            # nf minus its top bit is a face of this size, as nf is minimal
             top = 1 << (nf.bit_length() - 1)
-            if nf ^ top in above:
-                above[nf ^ top] &= ~top
+            above[nf ^ top] &= ~top
         level = sorted(f | v for f, e in above.items() for v in bits(e))
         if not level:
             return
