@@ -16,9 +16,9 @@ single pass over the subsets J:
   non-faces gives, per J, the union of those inside it; K_J is a cone, and
   acyclic over every field, unless that union is J itself.
 - The remaining restrictions are ranked once each, over GF(2), from
-  boundary rows of the complex, built one dimension at a time as the
-  ranked restrictions first need them, over faces built bottom-up from
-  the minimal non-faces (`face_levels`) just as far.
+  faces and boundary rows of the complex built one dimension at a time,
+  bottom-up from the minimal non-faces, as the ranked restrictions first
+  need them.
 - Rational ranks from GF(2) ranks.  An integer matrix has rank mod 2 at
   most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree;
   both alternating sums equal the reduced Euler characteristic.  If the
@@ -61,14 +61,8 @@ certificate and `reduced_betti` share the GF(2) kernel; the rational one
 runs only for `reduced_betti` and for the restrictions the parity test
 leaves open.  The certificate never eliminates over Q.
 
-Two enumerators list faces, each for its own readers.  The sweep and the
-rational ranks of its open restrictions pull levels from `face_levels`,
-bottom-up from the minimal non-faces, only up to the dimension the
-largest restriction they rank can hold, and keep none of them on the
-complex.  Full lists come top-down from the maximal faces
-(`down_closure`, cached by `faces_by_dim`), for the readers that need
-every face: the Euler floor, the sphere certificate and its link masks,
-`reduced_betti` and the f-vector.
+Full face lists (`faces_by_dim`) serve only the readers of every face:
+the Euler floor, the sphere certificate, `reduced_betti` and the f-vector.
 
 The tables are cached on the complex itself, so every public function and
 both fields share one sweep, and a long-running process holds no table of
@@ -444,13 +438,10 @@ def _subset_sweep(
     computed once (`_boundary_rows`) and serves every J.  Faces and rows
     are built one dimension at a time, as far as the ranked J need: a J
     that is not a cone holds a minimal non-face, so K_J has no face of
-    dimension |J| - 1, and the rows of the dimensions below rank it.  The
-    pass starts with no faces and no rows.  When a J is larger than the
-    rows cover, it pulls the next levels from `face_levels`, bottom-up
-    from the minimal non-faces it already holds, up to dimension |J| - 2,
-    and builds their rows; once they reach the top dimension of K it
-    stops checking.  A pass that ranks no J enumerates no faces at all,
-    and no pass reads `faces_by_dim`.
+    dimension |J| - 1, and the rows of the dimensions below rank it.  When
+    a J is larger than the rows cover, the pass pulls levels up to
+    dimension |J| - 2 from `face_levels`, and stops checking once they
+    reach the top dimension of K.  A pass that ranks no J builds nothing.
 
     Rational ranks from GF(2) ranks: an integer matrix has rank mod 2 at
     most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree,
