@@ -439,9 +439,9 @@ def _subset_sweep(
     are built one dimension at a time, as far as the ranked J need: a J
     that is not a cone holds a minimal non-face, so K_J has no face of
     dimension |J| - 1, and the rows of the dimensions below rank it.  When
-    a J is larger than the rows cover, the pass pulls levels up to
-    dimension |J| - 2 from `face_levels`, and stops checking once they
-    reach the top dimension of K.  A pass that ranks no J builds nothing.
+    a J is larger than every J before it, the pass pulls the levels up to
+    dimension |J| - 2 from `face_levels`; past the top dimension of K none
+    comes.  A pass that ranks no J builds nothing.
 
     Rational ranks from GF(2) ranks: an integer matrix has rank mod 2 at
     most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree,
@@ -492,7 +492,7 @@ def _subset_sweep(
             new = list(islice(levels, size - 1 - len(by_dim)))
             rows += _boundary_rows(by_dim[-1:] + new)
             by_dim += new
-            covered = size if len(by_dim) <= complex_.dim else m
+            covered = size
         betti = _gf2_betti(rows, jmask)
         certified = not (any(betti[::2]) and any(betti[1::2]))
         for d, b in enumerate(betti):
