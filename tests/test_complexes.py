@@ -26,10 +26,16 @@ from spherejoin import (
     simplex_boundary_on,
 )
 from spherejoin import complexes as complexes_module
-from spherejoin.complexes import _minimal_transversals, face_levels
+from spherejoin.complexes import _minimal_transversals, bits, face_levels
 
 from conftest import complexes, cycle, spheres
-from oracle import all_faces, double_oracle, minimal_non_faces_oracle, minimal_transversals_oracle
+from oracle import (
+    all_faces,
+    double_oracle,
+    down_closure,
+    minimal_non_faces_oracle,
+    minimal_transversals_oracle,
+)
 
 
 def faces_of(k):
@@ -111,15 +117,24 @@ class TestBasicInvariants:
     @example(SimplicialComplex([]))
     def test_face_levels_match_down_closure(self, k):
         # bottom-up from the minimal non-faces, level by level, the lists
-        # `faces_by_dim` gets top-down from the maximal faces
-        by_dim = k.faces_by_dim()
+        # the reference gets top-down from the maximal faces
+        by_dim = down_closure(k._max_masks)
         non_faces = [k._mask(nf) for nf in k.minimal_non_faces()]
+        start = {0: k._full_mask}
         for n in range(len(by_dim) + 2):
-            levels = list(islice(face_levels(k.vertex_count, non_faces), n))
-            assert levels == by_dim[:n]
-        yielded = list(chain.from_iterable(face_levels(k.vertex_count, non_faces)))
+            levels = list(islice(face_levels(non_faces, start), n))
+            assert [sorted(level) for level in levels] == by_dim[:n]
+        levels = list(face_levels(non_faces, start))
+        # each level's masks name the faces of the next one, and going on
+        # from a level gives the next, masks and all
+        for above, level in zip([start, *levels], [*by_dim, []]):
+            assert sorted(f | v for f, e in above.items() for v in bits(e)) == level
+        for above, after in zip(levels, [*levels[1:], None]):
+            assert next(face_levels(non_faces, above), None) == after
+        yielded = list(chain.from_iterable(levels))
         assert len(yielded) == len(set(yielded)) == sum(map(len, by_dim))
         assert not set(yielded) & set(non_faces)
+        assert k.faces_by_dim() == by_dim
 
     def test_membership(self, square):
         assert {0, 1} in square

@@ -5,7 +5,7 @@ from array import array
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherejoin import (
@@ -37,10 +37,13 @@ from spherejoin import homology
 from conftest import complexes, cycle, pinched_octahedron, spheres
 from oracle import (
     cycle_oracle,
+    down_closure,
     euler_floor_oracle,
+    gale_boundary,
     has_cone_apex_oracle,
     hochster_total_oracle,
     reduced_betti_oracle,
+    sphere_oracle,
     subset_sweep_reference,
 )
 
@@ -353,17 +356,17 @@ def spy(monkeypatch, name):
 
 
 def level_spy(monkeypatch):
-    """Replace `homology.face_levels` by a wrapper that records the
-    dimension of each level as it is pulled."""
+    """Replace `face_levels`, which only the face store calls, by a wrapper
+    that records the dimension of each level as it is listed."""
     pulled = []
-    original = homology.face_levels
+    original = complexes_module.face_levels
 
     def levels(*args):
-        for d, level in enumerate(original(*args)):
-            pulled.append(d)
+        for level in original(*args):
+            pulled.append(next(iter(level)).bit_count() - 1)
             yield level
 
-    monkeypatch.setattr(homology, "face_levels", levels)
+    monkeypatch.setattr(complexes_module, "face_levels", levels)
     return pulled
 
 
@@ -637,6 +640,44 @@ class TestSphereCertificate:
     def test_refuses_non_spheres(self, k):
         assert not homology._certify_sphere(k)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            complexes(),
+            spheres(),
+            complexes(max_vertices=4).map(double),
+            spheres().filter(lambda k: k.vertex_count <= 4).map(double),
+        )
+    )
+    @example(projective_plane())
+    @example(torus())
+    @example(pinched_octahedron())
+    @example(gale_boundary(7, 4))
+    def test_matches_sphere_oracle(self, k):
+        # a double is certified here at its own 2m vertices, not inherited
+        assert homology._certify_sphere(copy_of(k, None)) == sphere_oracle(k.maximal_faces)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            complexes(),
+            spheres(),
+            complexes(max_vertices=4).map(double),
+            spheres().filter(lambda k: k.vertex_count <= 5).map(double),
+        )
+    )
+    def test_link_faces_read_off_the_levels(self, k):
+        # the certificate's faces of lk sigma, taken from the complex's own
+        # levels, against the reference's top-down closure of the link's
+        # maximal faces; the levels past the link's top are empty
+        levels = k.faces_by_dim()
+        for sigma in [0, *chain.from_iterable(levels)]:
+            link = homology._link_levels(levels, sigma)
+            tops = [t ^ sigma for t in k._max_masks if t & sigma == sigma]
+            expected = down_closure(tops)
+            assert link[: len(expected)] == expected
+            assert not any(link[len(expected) :])
+
     def test_doubles_inherit_what_they_would_compute(self, catalog):
         # the double is a sphere iff its input is, whichever way it is decided
         inputs = [entry.complex for entry in catalog] + [
@@ -810,27 +851,21 @@ class TestLazyRows:
         pulled = level_spy(monkeypatch)
         k = double(inputs[0])
         assert hochster_total_rank(k, Field.GF2) == 2
-        assert k._faces_by_dim is None
+        assert k._faces[0] == []
         k = double(inputs[1])
         for field in BOTH:
             assert hochster_total_rank(k, field) == 4
         factors = homology._join_factors(k)
         assert [f.vertex_count for f in factors] == [4, 6]
-        assert all(f._faces_by_dim is None for f in (k, *factors))
+        assert all(f._faces[0] == [] for f in (k, *factors))
         assert built == pulled == []
 
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("field", BOTH)
     def test_doubled_sweep_builds_faces_as_far_as_it_ranks(self, monkeypatch, n, field):
         # the pentagon's double has faces up to dimension 6, the hexagon's
-        # up to 7, but their sweeps rank J of at most 4 and 6 vertices: no
-        # full face list is built, and no level above dimension |J| - 2
-        closed = []
-        closure = complexes_module.down_closure
-        monkeypatch.setattr(
-            complexes_module, "down_closure", lambda masks: closed.append(masks) or closure(masks)
-        )
-        monkeypatch.setattr(homology, "down_closure", complexes_module.down_closure)
+        # up to 7, but their sweeps rank J of at most 4 and 6 vertices: the
+        # face store holds the levels up to dimension |J| - 2, no more
         ranked = []
         gf2_betti = homology._gf2_betti
         monkeypatch.setattr(
@@ -839,10 +874,10 @@ class TestLazyRows:
         pulled = level_spy(monkeypatch)
         k = double(cycle(n))
         assert hochster_total_rank(k, field) == cycle_oracle(n)[1]
-        assert k._faces_by_dim is None
-        assert closed == []
-        assert max(map(int.bit_count, ranked)) == {5: 4, 6: 6}[n]
-        assert pulled == list(range(max(map(int.bit_count, ranked)) - 1))
+        largest = max(map(int.bit_count, ranked))
+        assert largest == {5: 4, 6: 6}[n]
+        assert pulled == list(range(largest - 1))
+        assert k._faces[0] == down_closure(k._max_masks)[: largest - 1]
 
     def test_open_restrictions_read_partial_levels(self, monkeypatch):
         # three tetrahedra around the edge {0, 1}, and a point: K_J for
@@ -855,10 +890,9 @@ class TestLazyRows:
         total = hochster_total_rank(k, Field.RATIONAL)
         assert total == hochster_total_oracle(k.vertices, k.maximal_faces, "q")
         assert [len(by_dim) for by_dim in opened] == [3]
-        assert k.dim == 3 and k._faces_by_dim is None
-        # the sweep, which ranks K itself, pulls all four levels; the open
-        # J three, anew
-        assert pulled == [0, 1, 2, 3, 0, 1, 2]
+        # the sweep, which ranks K itself, lists all four levels; the open J
+        # reads three of them from the store
+        assert k.dim == 3 and pulled == [0, 1, 2, 3]
 
     def test_doubles_of_catalog_match_full_rows(self, catalog):
         # the factors crosscheck's doubled identity sweeps, against the
@@ -870,6 +904,103 @@ class TestLazyRows:
             full = homology._join_factors(double(copy_of(entry.complex, None)))
             for a, b in zip(lazy, full, strict=True):
                 assert homology._subset_sweep(a) == subset_sweep_reference(b), entry.name
+
+
+class TestOneFaceStore:
+    """Every reader takes a complex's faces from its one store, which lists
+    each level once, whichever reader comes first."""
+
+    @staticmethod
+    def stacked_sphere():
+        # the tetrahedron boundary with two facets subdivided in turn: a
+        # 2-sphere whose minimal non-faces leave it one join component
+        k = boundary_of_simplex(3).stellar_subdivide({0, 1, 2}).stellar_subdivide({0, 1, 4})
+        assert homology._join_factors(k) == (k,)
+        return k
+
+    @staticmethod
+    def open_restriction():
+        # three tetrahedra around an edge, and a point: the parity test
+        # leaves one J open, which the rational table ranks over Q
+        k = build_complex([{0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1, 3, 4}, {5}], 6)
+        assert homology._join_factors(k) == (k,)
+        return k
+
+    @pytest.mark.parametrize(
+        "make, readers",
+        [
+            # sweep, then floor, then reduced Betti numbers; no certificate
+            (
+                lambda: copy_of(TestOneFaceStore.stacked_sphere(), False),
+                [
+                    lambda k: hochster_total_rank(k, Field.GF2),
+                    lambda k: homology._euler_floor(k, False),
+                    lambda k: reduced_betti(k, Field.GF2),
+                ],
+            ),
+            # floor, then sweep
+            (
+                lambda: copy_of(projective_plane(), False),
+                [
+                    lambda k: homology._euler_floor(k, False),
+                    lambda k: hochster_total_rank(k, Field.GF2),
+                ],
+            ),
+            # the rational ranks of open J after the GF(2) sweep, then the
+            # f-vector
+            (
+                lambda: TestOneFaceStore.open_restriction(),
+                [
+                    lambda k: hochster_total_rank(k, Field.GF2),
+                    lambda k: hochster_total_rank(k, Field.RATIONAL),
+                    lambda k: k.f_vector(),
+                ],
+            ),
+            # certificate, then sweep
+            (
+                lambda: TestOneFaceStore.stacked_sphere(),
+                [
+                    lambda k: homology._certify_sphere(k),
+                    lambda k: hochster_total_rank(k, Field.GF2),
+                    lambda k: hochster_total_rank(k, Field.RATIONAL),
+                ],
+            ),
+        ],
+        ids=["sweep-floor-betti", "floor-sweep", "sweep-open-j", "certificate-sweep"],
+    )
+    def test_each_level_listed_once(self, monkeypatch, make, readers):
+        k = make()
+        expected = down_closure(k._max_masks)
+        pulled = level_spy(monkeypatch)
+        for read in readers:
+            read(k)
+        levels = k._faces[0]
+        assert levels == expected[: len(levels)]
+        assert pulled == list(range(len(levels)))
+        # and by the last reader every level is listed
+        assert len(levels) == len(expected)
+
+    def test_extensions_from_one_snapshot_agree(self):
+        # two readers that extend the store from the same snapshot, one
+        # after the other as an interleaving of two threads would, publish
+        # equal levels and leave the snapshot as it was
+        k = cycle(7).join(simplex_boundary_on([7, 8]))
+        k._levels(2)
+        snapshot = k._faces
+        kept = ([list(level) for level in snapshot[0]], dict(snapshot[1]))
+        first = k._levels(k.dim + 1)
+        published = k._faces
+        k._faces = snapshot
+        assert k._levels(k.dim + 1) == first == down_closure(k._max_masks)
+        assert k._faces == published and k._faces is not published
+        assert snapshot == kept
+        # and two enumerations started from one frontier, advanced in turn
+        non_faces = [k._mask(nf) for nf in k.minimal_non_faces()]
+        a = complexes_module.face_levels(non_faces, snapshot[1])
+        b = complexes_module.face_levels(non_faces, snapshot[1])
+        pairs = list(zip(a, b))
+        assert all(x == y for x, y in pairs)
+        assert [sorted(x) for x, _ in pairs] == first[2:]
 
 
 class TestBettiKernel:

@@ -450,6 +450,6 @@ class TestWorkCounts:
     def test_pseudomanifold_enumerates_no_faces(self, pure):
         faces = [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}]
         k = build_complex(faces if pure else faces[:3] + [{3, 4}], 4 if pure else 5)
-        assert k._faces_by_dim is None
+        assert k._faces[0] == []
         assert is_pseudomanifold(k).holds is pure
-        assert k._faces_by_dim is None
+        assert k._faces[0] == []
