@@ -527,10 +527,11 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     the join of the K_{V_i} and of the simplex on the vertices in no
     minimal non-face, its cone apexes.  A full subcomplex has as minimal
     non-faces exactly those of the complex inside it, so each factor takes
-    them from the complex's cached list and runs no dualization.  A join
-    has as many maximal faces as the product of its factors' counts (a
-    simplex has one); a complex that has a different count was given a
-    wrong list of minimal non-faces, and raises rather than sweep wrongly.
+    the complex's masks inside its component, moved onto its own bits in
+    the same order, and runs no dualization.  A join has as many maximal
+    faces as the product of its factors' counts (a simplex has one); a
+    complex that has a different count was given a wrong list of minimal
+    non-faces, and raises rather than sweep wrongly.
 
     A complex whose homology-sphere certificate is already settled, or is
     inherited (a double's), passes its answer to every factor.  Every join
@@ -548,10 +549,9 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     """
     if complex_._factors is not None:
         return complex_._factors
-    non_faces = complex_.minimal_non_faces()
+    non_faces = complex_._non_face_masks()
     components: list[int] = []
-    for nf in non_faces:
-        merged = complex_._mask(nf)
+    for merged in non_faces:
         rest = []
         for c in components:
             if c & merged:
@@ -566,8 +566,7 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     for c in sorted(components, key=lambda c: c & -c):
         masks = compress_masks([f & c for f in complex_._max_masks], c)
         factor = SimplicialComplex._from_masks(complex_._ids(c), masks)
-        verts = frozenset(factor.vertices)
-        factor._minimal_non_faces = tuple(nf for nf in non_faces if nf <= verts)
+        factor._minimal_non_faces = tuple(compress_masks([nf for nf in non_faces if nf & c], c))
         factor._sphere = sphere
         factors.append(factor)
     if prod(len(f._max_masks) for f in factors) != len(complex_._max_masks):

@@ -164,11 +164,12 @@ def check_simplex_link(complex_: SimplicialComplex) -> RecognitionReport:
     def is_face(mask: int) -> bool:
         return all(nf & ~mask for nf in non_faces)
 
-    neighbours = {v: 0 for v in complex_.vertices}
-    for f, fm in zip(complex_.maximal_faces, complex_._max_masks):
-        for v in f:
-            neighbours[v] |= fm
-    for sigma, sigma_mask in zip(complex_.maximal_faces, complex_._max_masks):
+    # one-bit vertex mask -> neighbour mask
+    neighbours: dict[int, int] = {}
+    for fm in complex_._max_masks:
+        for b in bits(fm):
+            neighbours[b] = neighbours.get(b, 0) | fm
+    for sigma_mask in complex_._max_masks:
         comp_mask = complex_._full_mask & ~sigma_mask
         if not is_face(comp_mask):
             return RecognitionReport(
@@ -176,21 +177,22 @@ def check_simplex_link(complex_: SimplicialComplex) -> RecognitionReport:
                 False,
                 {
                     "kind": "restriction_not_simplex",
-                    "sigma": sorted(sigma),
-                    "complement": sorted(complex_._unmask(comp_mask)),
+                    "sigma": complex_._ids(sigma_mask),
+                    "complement": complex_._ids(comp_mask),
                 },
             )
-        for v in sorted(sigma):
-            support_mask = neighbours[v] & comp_mask
-            if not is_face(support_mask | 1 << complex_._bit[v]):
+        # lowest bit first: the vertices of sigma in ascending order
+        for b in bits(sigma_mask):
+            support_mask = neighbours[b] & comp_mask
+            if not is_face(support_mask | b):
                 return RecognitionReport(
                     "SimplexLink",
                     False,
                     {
                         "kind": "link_intersection_not_simplex",
-                        "sigma": sorted(sigma),
-                        "vertex": v,
-                        "support": sorted(complex_._unmask(support_mask)),
+                        "sigma": complex_._ids(sigma_mask),
+                        "vertex": complex_._ids(b)[0],
+                        "support": complex_._ids(support_mask),
                     },
                 )
     return RecognitionReport("SimplexLink", True)

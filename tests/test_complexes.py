@@ -229,6 +229,17 @@ class TestJoin:
         assert j.dim == octahedron.dim + square.dim + 1
 
 
+class TestRelabel:
+    def test_non_injective_map_rejected(self, square):
+        with pytest.raises(IndexOutOfRangeError, match="not injective"):
+            square.relabel({0: 5, 1: 5, 2: 6, 3: 7})
+
+    def test_unmapped_vertices_rejected(self):
+        k = build_complex([{0, 1}, {1, 2}, {0, 2}], 3)
+        with pytest.raises(IndexOutOfRangeError, match=r"misses vertices \[1, 2\]"):
+            k.relabel({0: 5})
+
+
 class TestBoundaryOfSimplex:
     def test_small_cases(self):
         assert faces_of(boundary_of_simplex(1)) == {frozenset({0}), frozenset({1})}
@@ -444,14 +455,14 @@ class TestDouble:
     def test_wrong_non_faces_raise(self, square):
         # one of the square's two diagonals dropped: the lifted family
         # round-trips on the doubled side, but not against the square
-        square._minimal_non_faces = (frozenset({0, 2}),)
+        square._minimal_non_faces = (0b0101,)
         with pytest.raises(InternalInvariantError):
             double(square)
 
     def test_nested_non_faces_raise(self, square):
         # a listed non-face inside another defines the same square, but
         # its lift would not be the double's minimal non-faces
-        square._minimal_non_faces = square.minimal_non_faces() + (frozenset({0, 1, 2}),)
+        square._minimal_non_faces = square._non_face_masks() + (0b0111,)
         with pytest.raises(InternalInvariantError):
             double(square)
 

@@ -18,6 +18,8 @@ from spherejoin import (
     boundary_of_simplex,
     build_complex,
     check_rank_lower_bounds,
+    check_simplex_link,
+    decompose_by_non_faces,
     double,
     gen_polygon,
     gluing_euler_characteristic,
@@ -42,6 +44,7 @@ from oracle import (
     gale_boundary,
     has_cone_apex_oracle,
     hochster_total_oracle,
+    minimal_non_faces_oracle,
     reduced_betti_oracle,
     sphere_oracle,
     subset_sweep_reference,
@@ -519,6 +522,20 @@ class TestJoinFactors:
             assert factor.minimal_non_faces() == (frozenset(factor.vertices),)
         assert homology._join_factors(factors[0])[0] is factors[0]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(complexes(), spheres()), st.one_of(complexes(), spheres()), st.data())
+    def test_factor_non_faces_match_a_fresh_enumeration(self, a, b, data):
+        # a random permutation interleaves the two parts' vertices
+        k = join_after(a, b)
+        perm = data.draw(st.permutations(k.vertices))
+        k = k.relabel(dict(zip(k.vertices, perm)))
+        for factor in homology._join_factors(k):
+            fresh = SimplicialComplex(factor.maximal_faces, vertices=factor.vertices)
+            assert factor.minimal_non_faces() == fresh.minimal_non_faces()
+            assert set(factor.minimal_non_faces()) == minimal_non_faces_oracle(
+                factor.vertices, factor.maximal_faces
+            )
+
     def test_factors_run_no_dualization(self, monkeypatch):
         k = join_after(boundary_of_simplex(2).join(simplex_boundary_on([3, 4])), cycle(5))
         k.minimal_non_faces()
@@ -564,7 +581,7 @@ class TestJoinFactors:
         k = boundary_of_simplex(2).join(simplex_boundary_on([3, 4])).join(
             simplex_boundary_on([5, 6])
         )
-        nfs = list(k.minimal_non_faces())
+        nfs = list(k._non_face_masks())
         del nfs[drop]
         k._minimal_non_faces = tuple(nfs)
         for field in BOTH:
@@ -574,9 +591,50 @@ class TestJoinFactors:
 
     def test_dropped_non_face_raises_in_bounded_pass(self):
         k = boundary_of_simplex(2).join(simplex_boundary_on([3, 4]))
-        k._minimal_non_faces = k.minimal_non_faces()[:1]
+        k._minimal_non_faces = k._non_face_masks()[:1]
         with pytest.raises(InternalInvariantError):
             hochster_rank_criterion(k, Field.GF2)
+
+
+class TestOneDualization:
+    """A complex runs one Berge dualization for its minimal non-faces,
+    whichever reader comes first, and every reader sees the same ones."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: cycle(5), lambda: join_after(boundary_of_simplex(2), cycle(5))]
+    )
+    @pytest.mark.parametrize(
+        "readers",
+        [
+            # sweep, SimplexLink, NonFacePartition, then the view twice
+            [
+                lambda k: hochster_total_rank(k, Field.GF2),
+                check_simplex_link,
+                decompose_by_non_faces,
+                SimplicialComplex.minimal_non_faces,
+                SimplicialComplex.minimal_non_faces,
+            ],
+            # NonFacePartition, then sweep
+            [decompose_by_non_faces, lambda k: hochster_total_rank(k, Field.GF2)],
+        ],
+    )
+    def test_one_berge_run(self, monkeypatch, make, readers):
+        k = make()
+        expected = SimplicialComplex(k.maximal_faces, vertices=k.vertices).minimal_non_faces()
+        edges = sorted(k._full_mask & ~fm for fm in k._max_masks)
+        runs = []
+        transversals = complexes_module._minimal_transversals
+        monkeypatch.setattr(
+            complexes_module,
+            "_minimal_transversals",
+            lambda e: runs.append(sorted(e)) or transversals(e),
+        )
+        views = []
+        for read in readers:
+            read(k)
+            views.append(k.minimal_non_faces())
+        assert runs.count(edges) == 1
+        assert views == [expected] * len(readers)
 
 
 def torus():

@@ -226,6 +226,10 @@ def test_criteria_match_references(k):
     # the library criteria skip work the pseudomanifold structure fixes;
     # reports, witnesses included, must equal the plain versions'
     assert _outcome(check_simplex_link, k) == simplex_link_reference(k)
+    # on masks alone: the criterion builds no frozenset view of the faces
+    lazy = SimplicialComplex._from_masks(k.vertices, k._max_masks)
+    assert check_simplex_link(lazy) == simplex_link_reference(k)
+    assert lazy._maximal_faces is None
     assert _outcome(check_two_face, k) == _outcome(two_face_reference, k)
     assert _outcome(recognize_recursive, k) == _outcome(recursive_reference, k)
     assert _outcome(is_pseudomanifold, k) == _outcome(pseudomanifold_reference, k)
@@ -314,7 +318,7 @@ def _double_matches_reference(k):
     # the double is built on masks; its frozenset view waits for a read
     assert d._maximal_faces is None
     assert d.vertices == tuple(range(2 * k.vertex_count))
-    assert (d.maximal_faces, d.labels, d._minimal_non_faces) == (faces, labels, non_faces)
+    assert (d.maximal_faces, d.labels, d.minimal_non_faces()) == (faces, labels, non_faces)
     assert d == SimplicialComplex(faces, vertices=d.vertices)
 
 
