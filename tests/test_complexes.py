@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import chain, islice
 
 import pytest
@@ -89,6 +90,79 @@ class TestBuild:
         assert k.is_empty
         assert k.f_vector() == []
         assert frozenset() in k
+
+
+class TestConstructorErrors:
+    """Each constructor's typed error and exact message, one fault per input."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (
+                lambda: SimplicialComplex([{0, 1}], vertices=[1, 0, 1]),
+                IndexOutOfRangeError,
+                "duplicate vertex ids in (0, 1, 1)",
+            ),
+            (
+                lambda: SimplicialComplex([{0, 1}], vertices=[0, 1, 2, 3]),
+                UncoveredVertexError,
+                "vertices [2, 3] appear in no face",
+            ),
+            (
+                lambda: SimplicialComplex([{0, 1}, {1, 4}], vertices=[0, 1]),
+                IndexOutOfRangeError,
+                "faces use vertices [4] outside the declared set",
+            ),
+            (
+                lambda: SimplicialComplex([{0, 1}], labels=["a"]),
+                IndexOutOfRangeError,
+                "got 1 labels for 2 vertices",
+            ),
+            (lambda: build_complex([[0, 3]], 3), IndexOutOfRangeError, "vertex 3 outside range [0, 3)"),
+            (lambda: build_complex([[0, -1]], 3), IndexOutOfRangeError, "vertex -1 outside range [0, 3)"),
+            (lambda: build_complex([[0, True]], 3), IndexOutOfRangeError, "vertex True outside range [0, 3)"),
+            (lambda: build_complex([[0]], -1), IndexOutOfRangeError, "vertex_count must be non-negative"),
+            (
+                lambda: build_complex([[0]], 11),
+                UncoveredVertexError,
+                "vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] appear in no face",
+            ),
+            (
+                lambda: build_complex([[0, 5]], 13),
+                UncoveredVertexError,
+                "vertices [1, 2, 3, 4, 6, 7, 8, 9, 10, 11] (of 11) appear in no face",
+            ),
+            (
+                lambda: build_complex([[0, 1]], 2, labels=["a", "b", "c"]),
+                IndexOutOfRangeError,
+                "got 3 labels for 2 vertices",
+            ),
+            (
+                lambda: simplex_boundary_on([3, 3]),
+                InvalidDimensionError,
+                "a simplex boundary needs at least 2 vertices",
+            ),
+        ],
+    )
+    def test_single_fault(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_huge_declared_count_stays_small(self):
+        # coverage is counted before any vertex becomes a bit: a mask of bit
+        # 10**9 - 1 alone would take 125 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(UncoveredVertexError) as info:
+                build_complex([[10**9 - 1]], 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "vertices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (of 999999999) appear in no face"
+        )
+        assert peak < 1 << 20
 
 
 class TestBasicInvariants:
