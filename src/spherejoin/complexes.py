@@ -4,15 +4,15 @@ A complex lives on an explicit vertex set (arbitrary integer identifiers,
 usually ``0..m-1``).  It is stored as bitmasks: vertex ``vertices[i]`` is
 bit i, the maximal faces are an antichain of masks in canonical order, and
 so are the minimal non-faces once first read.  The public API speaks
-frozensets of vertex ids: ``maximal_faces`` is a cached frozenset view of
-the maximal-face masks, ``minimal_non_faces()`` an uncached one of the
-non-face masks, and the empty face belongs to every complex.  The empty
-complex (whose only face is the empty simplex, dimension -1) is a
-first-class value.  Values are immutable once built (the view and the
-other caches are filled at most once, each with the same value whoever
-fills it, and the face store grows by whole new snapshots), and every
-operation returns a fresh complex, so everything here is safe to call
-concurrently.
+frozensets of vertex ids: ``maximal_faces`` is a frozenset view of the
+maximal-face masks, built on first read and cached, ``minimal_non_faces()``
+an uncached one of the non-face masks, and the empty face belongs to every
+complex.  The empty complex (whose only face is the empty simplex,
+dimension -1) is a first-class value.  Values are immutable once built
+(the view and the other caches are filled at most once, each with the same
+value whoever fills it, and the face store grows by whole new snapshots),
+and every operation returns a fresh complex, so everything here is safe to
+call concurrently.
 
 Subcomplex results keep the original vertex identifiers.  A link is
 returned on the vertices that actually support a face, with the ambient
@@ -110,10 +110,10 @@ class SimplicialComplex:
     bit i, the masks form an antichain, and they are sorted in the
     lexicographic order of their sorted vertex tuples.  Equality, hashing,
     the dimension and every criterion work on these masks.
-    `maximal_faces` is a frozenset view in the same order, cached: the
-    public constructor fills it from the sets it was given, and a complex
-    built from masks (`_from_masks`: links, doubles, reconstructions,
-    join factors) builds it on first read.  The minimal non-faces are
+    `maximal_faces` is a frozenset view in the same order, built on first
+    read and cached.  Every constructor fills the slots from masks through
+    `_store`: `_from_masks` takes them as given, and the public constructor
+    first maps vertex ids to bits.  The minimal non-faces are
     stored the same way, as canonical masks (`_non_face_masks`), and
     `minimal_non_faces()` is their frozenset view.
 
@@ -140,73 +140,56 @@ class SimplicialComplex:
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        faces,
-        vertices=None,
-        labels=None,
-        ambient_vertices=None,
-    ):
-        face_set = {frozenset(f) for f in faces} or {frozenset()}
-        support = sorted(set().union(*face_set))
-        if vertices is None:
-            verts = tuple(support)
-        else:
-            verts = tuple(sorted(vertices))
-            if len(set(verts)) != len(verts):
-                raise IndexOutOfRangeError(f"duplicate vertex ids in {verts}")
-            support_set, vert_set = set(support), set(verts)
-            missing = [v for v in verts if v not in support_set]
-            if missing:
-                raise UncoveredVertexError(
-                    f"vertices {missing} appear in no face"
-                )
-            extra = [v for v in support if v not in vert_set]
-            if extra:
-                raise IndexOutOfRangeError(
-                    f"faces use vertices {extra} outside the declared set"
-                )
-        bit = {v: i for i, v in enumerate(verts)}
-        by_mask = {}
+    def __init__(self, faces, vertices=None, labels=None):
+        face_set = {frozenset(f) for f in faces}
+        support = set().union(*face_set)
+        verts = tuple(sorted(support if vertices is None else vertices))
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        extra = sorted(support.difference(bit))
+        if extra:
+            raise IndexOutOfRangeError(
+                f"faces use vertices {extra} outside the declared set"
+            )
+        masks = []
         for f in face_set:
             m = 0
             for v in f:
-                m |= 1 << bit[v]
-            by_mask[m] = f
-        self._store(verts, by_mask.keys(), labels, ambient_vertices)
-        self._maximal_faces = tuple(by_mask[m] for m in self._max_masks)
+                m |= bit[v]
+            masks.append(m)
+        self._store(verts, masks, labels)
 
     @classmethod
     def _from_masks(cls, vertices, masks, labels=None, ambient_vertices=None):
         """The complex on the sorted `vertices` whose faces are the masks
         (vertex ``vertices[i]`` on bit i) and their subsets.
 
-        The internal entry point.  Repeated vertices and vertices in no
-        face are refused, as by the public constructor.  No frozenset is
-        built; `maximal_faces` waits for its first read.
+        The entry for callers that hold masks: `build_complex`, links,
+        doubles, reconstructions and join factors.
         """
-        verts = tuple(vertices)
-        if len(set(verts)) != len(verts):
-            raise IndexOutOfRangeError(f"duplicate vertex ids in {verts}")
         out = cls.__new__(cls)
-        out._store(verts, masks, labels, ambient_vertices)
-        uncovered = out._full_mask & ~reduce(or_, out._max_masks)
-        if uncovered:
-            raise UncoveredVertexError(f"vertices {out._ids(uncovered)} appear in no face")
-        out._maximal_faces = None
+        out._store(tuple(vertices), masks, labels, ambient_vertices)
         return out
 
-    def _store(self, verts, masks, labels, ambient_vertices) -> None:
+    def _store(self, verts, masks, labels, ambient_vertices=None) -> None:
         """Fill the slots from sorted vertices and any list of face masks,
-        which `_canonical_masks` reduces to the canonical antichain."""
+        which `_canonical_masks` reduces to the canonical antichain.
+        Repeated vertices, vertices in no face and a label count other than
+        the vertex count are refused.
+        """
+        if len(set(verts)) != len(verts):
+            raise IndexOutOfRangeError(f"duplicate vertex ids in {verts}")
+        self.vertices: tuple[int, ...] = verts
+        self._max_masks: tuple[int, ...] = _canonical_masks(masks)
+        self._full_mask = (1 << len(verts)) - 1
+        uncovered = self._full_mask & ~reduce(or_, self._max_masks)
+        if uncovered:
+            raise UncoveredVertexError(f"vertices {self._ids(uncovered)} appear in no face")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != len(verts):
                 raise IndexOutOfRangeError(
                     f"got {len(labels)} labels for {len(verts)} vertices"
                 )
-        self.vertices: tuple[int, ...] = verts
-        self._max_masks: tuple[int, ...] = _canonical_masks(masks)
         # max face cardinality minus one; -1 for the empty complex
         self.dim: int = max(map(int.bit_count, self._max_masks)) - 1
         self.labels: tuple[str, ...] | None = labels
@@ -214,7 +197,8 @@ class SimplicialComplex:
             tuple(sorted(ambient_vertices)) if ambient_vertices is not None else None
         )
         self._bit = {v: i for i, v in enumerate(verts)}
-        self._full_mask = (1 << len(verts)) - 1
+        # the frozenset view, built by `maximal_faces` on its first read
+        self._maximal_faces = None
         # the face store (`_levels`): the levels listed so far and the last
         # one's frontier, None past the top; at first, the empty face's
         self._faces = ([], {0: self._full_mask})
@@ -397,7 +381,7 @@ class SimplicialComplex:
         unmapped = [v for v in self.vertices if v not in mapping]
         if unmapped:
             raise IndexOutOfRangeError(f"relabeling map misses vertices {unmapped}")
-        if len(set(mapping.values())) != len(mapping):
+        if len({mapping[v] for v in self.vertices}) != len(self.vertices):
             raise IndexOutOfRangeError("relabeling map is not injective")
         faces = [{mapping[v] for v in f} for f in self.maximal_faces]
         labels = None
@@ -546,13 +530,20 @@ def build_complex(faces, vertex_count: int, labels=None) -> SimplicialComplex:
                 )
         cleaned.append(fs)
     covered = set().union(*cleaned) if cleaned else set()
-    # counted first, so a huge vertex_count fails without building its range
+    # counted before any vertex becomes a bit, so a huge vertex_count fails
+    # without building its range or a mask that wide
     uncovered = vertex_count - len(covered)
     if uncovered:
         first = itertools.islice((v for v in range(vertex_count) if v not in covered), 10)
         more = f" (of {uncovered})" if uncovered > 10 else ""
         raise UncoveredVertexError(f"vertices {list(first)}{more} appear in no face")
-    return SimplicialComplex(cleaned, vertices=range(vertex_count), labels=labels)
+    masks = []
+    for fs in cleaned:
+        m = 0
+        for v in fs:
+            m |= 1 << v
+        masks.append(m)
+    return SimplicialComplex._from_masks(range(vertex_count), masks, labels=labels)
 
 
 def simplex_boundary_on(vertices) -> SimplicialComplex:
@@ -560,8 +551,8 @@ def simplex_boundary_on(vertices) -> SimplicialComplex:
     vs = sorted(set(vertices))
     if len(vs) < 2:
         raise InvalidDimensionError("a simplex boundary needs at least 2 vertices")
-    faces = [set(vs) - {v} for v in vs]
-    return SimplicialComplex(faces, vertices=vs)
+    full = (1 << len(vs)) - 1
+    return SimplicialComplex._from_masks(vs, [full ^ b for b in bits(full)])
 
 
 def boundary_of_simplex(k: int) -> SimplicialComplex:

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .complexes import (
     SimplicialComplex,
+    is_pseudomanifold,
     json_array,
     json_arrays,
     json_entries,
@@ -175,8 +176,6 @@ def incidence_from_hv(hrep: PolytopeHRep, vrep: PolytopeVRep) -> VertexFacetInci
 def dual_boundary_complex(incidence: VertexFacetIncidence) -> SimplicialComplex:
     """Boundary complex of the dual simplicial polytope: one vertex per
     facet, one maximal face per polytope vertex."""
-    from .complexes import is_pseudomanifold
-
     n = incidence.dim
     if not check_simple(incidence, n):
         raise NotSimpleError("incidence is not simple")

@@ -111,6 +111,7 @@ from .complexes import (
     relabelled_masks,
 )
 from .errors import CapExceededError, InternalInvariantError, InvalidDimensionError
+from .geometry import dual_boundary_complex
 from .linalg import gf2_rank, integer_rank
 
 DEFAULT_CAP = 20
@@ -765,8 +766,6 @@ def gluing_euler_characteristic(incidence) -> int:
     the polytope itself as the single top cell.  This route is independent
     of the homology sweep and serves as its oracle.
     """
-    from .geometry import dual_boundary_complex
-
     dual = dual_boundary_complex(incidence)
     n = incidence.dim
     m = incidence.facet_count

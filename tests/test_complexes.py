@@ -307,6 +307,14 @@ class TestRelabel:
     def test_non_injective_map_rejected(self, square):
         with pytest.raises(IndexOutOfRangeError, match="not injective"):
             square.relabel({0: 5, 1: 5, 2: 6, 3: 7})
+        with pytest.raises(IndexOutOfRangeError, match="not injective"):
+            square.relabel({0: 5, 1: 6, 2: 7, 3: 5, 9: 8})
+
+    def test_injective_on_the_vertices_with_extra_keys(self, square):
+        # a key off the vertex set may repeat a value: the map is injective
+        # where it is read
+        k = square.relabel({0: 5, 1: 6, 2: 7, 3: 8, 9: 5})
+        assert k == SimplicialComplex([{5, 6}, {6, 7}, {7, 8}, {8, 5}])
 
     def test_unmapped_vertices_rejected(self):
         k = build_complex([{0, 1}, {1, 2}, {0, 2}], 3)

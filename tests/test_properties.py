@@ -10,6 +10,7 @@ from spherejoin import (
     InvalidDimensionError,
     PreconditionViolatedError,
     SimplicialComplex,
+    build_complex,
     check_simplex_link,
     check_two_face,
     decompose_by_non_faces,
@@ -20,6 +21,7 @@ from spherejoin import (
     recognize_recursive,
     reconstruct_from_non_faces,
     reduced_betti,
+    simplex_boundary_on,
 )
 
 from conftest import complexes, spheres
@@ -310,6 +312,33 @@ def test_mask_constructor_matches_frozenset_reference(faces, other):
     again = SimplicialComplex([*reversed(faces), *maximal, frozenset()])
     assert again == k and hash(again) == hash(k)
     assert (SimplicialComplex(other) == k) is (complex_reference(other) == (verts, maximal))
+
+
+def _view_on_first_read(k, faces):
+    # no constructor builds the frozenset view; the first read builds the
+    # canonical order of the faces the complex was built from
+    assert k._maximal_faces is None
+    assert k.maximal_faces == complex_reference(faces)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(complexes(), spheres()))
+def test_every_constructor_leaves_the_view_to_its_first_read(k):
+    faces = [sorted(f) for f in reversed(k.maximal_faces)]
+    # a generator of generators, a set of frozensets, and dominated faces
+    for given_faces in (
+        ((v for v in f) for f in faces),
+        {frozenset(f) for f in faces},
+        faces + [f[:1] for f in faces],
+    ):
+        built = SimplicialComplex(given_faces, vertices=k.vertices)
+        _view_on_first_read(built, faces)
+        assert built == k
+    positional = k.to_json_dict()["maximal_faces"]
+    _view_on_first_read(build_complex((iter(f) for f in positional), k.vertex_count), positional)
+    if k.vertex_count >= 2:
+        facets = list(combinations(k.vertices, k.vertex_count - 1))
+        _view_on_first_read(simplex_boundary_on(iter(k.vertices)), facets)
 
 
 def _double_matches_reference(k):
