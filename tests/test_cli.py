@@ -421,6 +421,24 @@ class TestGen:
         code, _, err = run(capsys, "gen", "banana:7")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("simplex:1,2", "simplex takes exactly one integer, got '1,2'"),
+            ("simplex:", "simplex takes exactly one integer, got ''"),
+            ("polygon:9", "polygon catalog covers k in [3, 8], got 9"),
+            ("prism:x", "bad integer list 'x'"),
+            ("prism:2", "polygon catalog covers k in [3, 8], got 2"),
+            ("product:", "need at least one simplex dimension"),
+            ("product:a", "bad integer list 'a'"),
+            ("cube:3", "unknown generator 'cube'"),
+            ("truncate:noComma", "truncate spec needs <input>,<vertex>"),
+        ],
+    )
+    def test_refused_spec(self, capsys, spec, message):
+        code, out, err = run(capsys, "gen", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestDihedralCommand:
     def test_polygon5(self, capsys):
