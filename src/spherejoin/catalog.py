@@ -2,8 +2,14 @@
 
 Products of simplices for every dimension partition up to total 5, the
 fixed rational k-gons, the k-gon prisms for k = 5..7, and the two
-all-vertices truncations (of the 3-simplex and of the cube).  The
-truncations are combinatorial only, so they carry no inequality data.
+all-vertices truncations (of the 3-simplex and of the cube).  Every entry
+but the truncations is named by its generator spec and built from it by
+`geometry.polytope_from_spec`, the builder behind the CLI's ``--gen``, so
+``gen <name>`` reproduces the entry.  The truncations are combinatorial
+only, so they carry no inequality data.
+
+`incidence_bundle` and `polytope_bundle` turn an incidence or a polytope
+into the fields an entry (or a CLI input) carries, dual complex included.
 """
 
 from __future__ import annotations
@@ -17,11 +23,8 @@ from .geometry import (
     PolytopeVRep,
     VertexFacetIncidence,
     dual_boundary_complex,
-    gen_polygon,
-    gen_product_of_simplices,
-    gen_simplex,
     incidence_from_hv,
-    product_polytope,
+    polytope_from_spec,
     truncate_all_vertices,
 )
 
@@ -53,61 +56,35 @@ def product_partitions(max_total: int = 5) -> list[tuple[int, ...]]:
     return out
 
 
+def incidence_bundle(inc: VertexFacetIncidence) -> dict:
+    """An incidence and its dual boundary complex."""
+    return {"incidence": inc, "complex": dual_boundary_complex(inc)}
+
+
+def polytope_bundle(hrep: PolytopeHRep, vrep: PolytopeVRep) -> dict:
+    """A polytope's two representations, its incidence and dual complex."""
+    return {"hrep": hrep, "vrep": vrep, **incidence_bundle(incidence_from_hv(hrep, vrep))}
+
+
 @lru_cache(maxsize=None)
 def build_catalog() -> tuple[CatalogEntry, ...]:
-    entries: list[CatalogEntry] = []
-    for dims in product_partitions(5):
-        h, v = gen_product_of_simplices(*dims)
-        inc = incidence_from_hv(h, v)
-        entries.append(
-            CatalogEntry(
-                name="product:" + ",".join(map(str, dims)),
-                complex=dual_boundary_complex(inc),
-                incidence=inc,
-                hrep=h,
-                vrep=v,
-                is_sphere_join=True,
-                part_sizes=tuple(sorted(d + 1 for d in dims)),
-            )
+    # (spec, is_sphere_join, part_sizes) for every polytopal entry
+    rows = [
+        ("product:" + ",".join(map(str, dims)), True, tuple(sorted(d + 1 for d in dims)))
+        for dims in product_partitions(5)
+    ]
+    rows += [(f"polygon:{k}", k <= 4, {3: (3,), 4: (2, 2)}.get(k)) for k in range(3, 9)]
+    rows += [(f"prism:{k}", False, None) for k in range(5, 8)]
+    entries = [
+        CatalogEntry(
+            spec,
+            **polytope_bundle(*polytope_from_spec(spec)),
+            is_sphere_join=is_join,
+            part_sizes=sizes,
         )
-    for k in range(3, 9):
-        h, v = gen_polygon(k)
-        inc = incidence_from_hv(h, v)
-        entries.append(
-            CatalogEntry(
-                name=f"polygon:{k}",
-                complex=dual_boundary_complex(inc),
-                incidence=inc,
-                hrep=h,
-                vrep=v,
-                is_sphere_join=k <= 4,
-                part_sizes=((3,) if k == 3 else (2, 2)) if k <= 4 else None,
-            )
-        )
-    for k in range(5, 8):
-        hk, vk = gen_polygon(k)
-        h1, v1 = gen_simplex(1)
-        h, v = product_polytope(hk, vk, h1, v1)
-        inc = incidence_from_hv(h, v)
-        entries.append(
-            CatalogEntry(
-                name=f"prism:{k}",
-                complex=dual_boundary_complex(inc),
-                incidence=inc,
-                hrep=h,
-                vrep=v,
-                is_sphere_join=False,
-            )
-        )
-    for name, dims in (("truncated:simplex3", (3,)), ("truncated:cube", (1, 1, 1))):
-        h, v = gen_product_of_simplices(*dims)
-        inc = truncate_all_vertices(incidence_from_hv(h, v))
-        entries.append(
-            CatalogEntry(
-                name=name,
-                complex=dual_boundary_complex(inc),
-                incidence=inc,
-                is_sphere_join=False,
-            )
-        )
+        for spec, is_join, sizes in rows
+    ]
+    for name, spec in (("truncated:simplex3", "simplex:3"), ("truncated:cube", "product:1,1,1")):
+        inc = truncate_all_vertices(incidence_from_hv(*polytope_from_spec(spec)))
+        entries.append(CatalogEntry(name, **incidence_bundle(inc)))
     return tuple(entries)

@@ -19,20 +19,15 @@ import functools
 import json
 import sys
 
-from .catalog import build_catalog
+from .catalog import build_catalog, incidence_bundle, polytope_bundle
 from .complexes import SimplicialComplex, double, json_object
 from .errors import InternalInvariantError, InvalidParameterError, SphereJoinError
 from .geometry import (
     dihedral_nonobtuse_check,
-    dual_boundary_complex,
-    gen_polygon,
-    gen_product_of_simplices,
-    gen_simplex,
     gen_truncated,
-    incidence_from_hv,
     polytope_from_json_dict,
+    polytope_from_spec,
     polytope_to_json_dict,
-    product_polytope,
     VertexFacetIncidence,
 )
 from .homology import (
@@ -70,69 +65,36 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _incidence_bundle(inc: VertexFacetIncidence) -> dict:
-    """An incidence and its dual boundary complex."""
-    return {"incidence": inc, "complex": dual_boundary_complex(inc)}
-
-
-def _polytope_bundle(hrep, vrep) -> dict:
-    """A polytope's two representations, its incidence and dual complex."""
-    return {"hrep": hrep, "vrep": vrep, **_incidence_bundle(incidence_from_hv(hrep, vrep))}
-
-
 def _bundle_from_json(data: dict) -> dict:
     """Detect the payload kind by its keys and derive what follows from it."""
     json_object(data, "input")
     if "maximal_faces" in data:
         return {"complex": SimplicialComplex.from_json_dict(data)}
     if "inequalities" in data and "vertices" in data:
-        return _polytope_bundle(*polytope_from_json_dict(data))
+        return polytope_bundle(*polytope_from_json_dict(data))
     if "vertex_facets" in data:
-        return _incidence_bundle(VertexFacetIncidence.from_json_dict(data))
+        return incidence_bundle(VertexFacetIncidence.from_json_dict(data))
     raise InvalidParameterError(
         "unrecognized input: expected complex, polytope, or incidence JSON"
     )
 
 
-def _ints(csv: str) -> list[int]:
-    try:
-        return [int(x) for x in csv.split(",") if x != ""]
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad integer list {csv!r}") from exc
-
-
-def _one_int(arg: str, kind: str) -> int:
-    values = _ints(arg)
-    if len(values) != 1:
-        raise InvalidParameterError(f"{kind} takes exactly one integer, got {arg!r}")
-    return values[0]
-
-
 def _bundle_from_generator(spec: str) -> dict:
+    """The bundle a --gen spec names: truncate, double and join read input
+    files; every other spec is a polytope (`polytope_from_spec`)."""
     kind, _, arg = spec.partition(":")
-    if kind == "simplex":
-        hrep, vrep = gen_simplex(_one_int(arg, kind))
-    elif kind == "polygon":
-        hrep, vrep = gen_polygon(_one_int(arg, kind))
-    elif kind == "product":
-        dims = _ints(arg)
-        hrep, vrep = gen_product_of_simplices(*dims)
-    elif kind == "prism":
-        hk, vk = gen_polygon(_one_int(arg, kind))
-        h1, v1 = gen_simplex(1)
-        hrep, vrep = product_polytope(hk, vk, h1, v1)
-    elif kind == "truncate":
+    if kind == "truncate":
         path, _, vertex = arg.rpartition(",")
         if not path:
             raise InvalidParameterError("truncate spec needs <input>,<vertex>")
         bundle = _bundle_from_json(_load_json(path))
         if "incidence" not in bundle:
             raise InvalidParameterError("truncate input must carry incidence data")
-        return _incidence_bundle(gen_truncated(bundle["incidence"], int(vertex)))
-    elif kind == "double":
+        return incidence_bundle(gen_truncated(bundle["incidence"], int(vertex)))
+    if kind == "double":
         bundle = _bundle_from_json(_load_json(arg))
         return {"complex": double(bundle["complex"])}
-    elif kind == "join":
+    if kind == "join":
         pa, _, pb = arg.partition(",")
         if not pb:
             raise InvalidParameterError("join spec needs two input paths")
@@ -141,9 +103,7 @@ def _bundle_from_generator(spec: str) -> dict:
         offset = max(ka.vertices) + 1 if ka.vertices else 0
         kb = kb.relabel({v: v + offset for v in kb.vertices})
         return {"complex": ka.join(kb)}
-    else:
-        raise InvalidParameterError(f"unknown generator {kind!r}")
-    return _polytope_bundle(hrep, vrep)
+    return polytope_bundle(*polytope_from_spec(spec))
 
 
 def _resolve_input(args) -> dict:

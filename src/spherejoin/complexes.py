@@ -520,15 +520,16 @@ def build_complex(faces, vertex_count: int, labels=None) -> SimplicialComplex:
         raise IndexOutOfRangeError("vertex_count must be non-negative")
     cleaned = []
     for f in faces:
-        fs = frozenset(f)
-        for v in fs:
+        # every entry as given: a set would drop True or 1.0 after a 1 unchecked
+        face = tuple(f)
+        for v in face:
             # bool is an int subclass, but JSON true is not a vertex id
             valid = isinstance(v, int) and not isinstance(v, bool)
             if not valid or v < 0 or v >= vertex_count:
                 raise IndexOutOfRangeError(
                     f"vertex {v!r} outside range [0, {vertex_count})"
                 )
-        cleaned.append(fs)
+        cleaned.append(frozenset(face))
     covered = set().union(*cleaned) if cleaned else set()
     # counted before any vertex becomes a bit, so a huge vertex_count fails
     # without building its range or a mask that wide

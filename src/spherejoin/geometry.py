@@ -9,6 +9,12 @@ alone is deliberately not implemented.
 The non-obtuse dihedral test needs no angles or square roots: for inward
 normals, an angle is non-obtuse exactly when the inner product of the two
 normals is <= 0, which is a sign decision in exact arithmetic.
+
+The generators build the polytope families exactly: simplices, a fixed
+lattice k-gon per k, products and combinatorial truncations.
+`polytope_from_spec` is the one map from a generator spec such as
+``product:2,1`` or ``prism:5`` to a polytope; the CLI's ``--gen`` and the
+built-in catalog both go through it.
 """
 
 from __future__ import annotations
@@ -285,6 +291,35 @@ def gen_product_of_simplices(*dims: int) -> tuple[PolytopeHRep, PolytopeVRep]:
         h2, v2 = gen_simplex(n)
         h, v = product_polytope(h, v, h2, v2)
     return h, v
+
+
+def _ints(csv: str) -> list[int]:
+    try:
+        return [int(x) for x in csv.split(",") if x != ""]
+    except ValueError as exc:
+        raise InvalidParameterError(f"bad integer list {csv!r}") from exc
+
+
+def _one_int(arg: str, kind: str) -> int:
+    values = _ints(arg)
+    if len(values) != 1:
+        raise InvalidParameterError(f"{kind} takes exactly one integer, got {arg!r}")
+    return values[0]
+
+
+def polytope_from_spec(spec: str) -> tuple[PolytopeHRep, PolytopeVRep]:
+    """The polytope a generator spec names: ``simplex:n``, ``polygon:k``,
+    ``product:n1,n2,...`` or ``prism:k`` (the k-gon times a segment)."""
+    kind, _, arg = spec.partition(":")
+    if kind == "simplex":
+        return gen_simplex(_one_int(arg, kind))
+    if kind == "polygon":
+        return gen_polygon(_one_int(arg, kind))
+    if kind == "product":
+        return gen_product_of_simplices(*_ints(arg))
+    if kind == "prism":
+        return product_polytope(*gen_polygon(_one_int(arg, kind)), *gen_simplex(1))
+    raise InvalidParameterError(f"unknown generator {kind!r}")
 
 
 def gen_truncated(incidence: VertexFacetIncidence, vertex: int) -> VertexFacetIncidence:

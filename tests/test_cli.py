@@ -21,7 +21,7 @@ from spherejoin import (
 )
 from spherejoin import complexes, geometry
 from spherejoin.cli import main
-from spherejoin.geometry import polytope_to_json_dict
+from spherejoin.geometry import polytope_from_spec, polytope_to_json_dict
 
 
 def run(capsys, *argv):
@@ -389,6 +389,20 @@ class TestGen:
             assert (tmp_path / f"a.{kind}.json").read_bytes() == (
                 tmp_path / f"b.{kind}.json"
             ).read_bytes()
+
+    def test_catalog_names_are_specs(self, capsys, catalog):
+        polytopal = [e for e in catalog if e.hrep is not None]
+        # all but the two all-vertex truncations
+        assert len(polytopal) == len(catalog) - 2
+        for entry in polytopal:
+            assert polytope_from_spec(entry.name) == (entry.hrep, entry.vrep)
+            code, out, _ = run(capsys, "gen", entry.name)
+            assert code == 0
+            assert json.loads(out) == {
+                "complex": entry.complex.to_json_dict(),
+                "incidence": entry.incidence.to_json_dict(),
+                "polytope": polytope_to_json_dict(entry.hrep, entry.vrep),
+            }
 
     def test_double_spec(self, capsys, tmp_path, square):
         path = tmp_path / "square.json"

@@ -121,6 +121,9 @@ class TestConstructorErrors:
             (lambda: build_complex([[0, 3]], 3), IndexOutOfRangeError, "vertex 3 outside range [0, 3)"),
             (lambda: build_complex([[0, -1]], 3), IndexOutOfRangeError, "vertex -1 outside range [0, 3)"),
             (lambda: build_complex([[0, True]], 3), IndexOutOfRangeError, "vertex True outside range [0, 3)"),
+            # an entry equal to an earlier one in its face is checked too
+            (lambda: build_complex([[0, 1], [1, True]], 2), IndexOutOfRangeError, "vertex True outside range [0, 2)"),
+            (lambda: build_complex([[0, 1], [1, 1.0]], 2), IndexOutOfRangeError, "vertex 1.0 outside range [0, 2)"),
             (lambda: build_complex([[0]], -1), IndexOutOfRangeError, "vertex_count must be non-negative"),
             (
                 lambda: build_complex([[0]], 11),

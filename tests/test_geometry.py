@@ -29,7 +29,7 @@ from spherejoin import (
     truncate_all_vertices,
 )
 from spherejoin import geometry, linalg
-from spherejoin.geometry import polytope_from_json_dict, polytope_to_json_dict
+from spherejoin.geometry import polytope_from_json_dict, polytope_from_spec, polytope_to_json_dict
 
 F = Fraction
 
@@ -290,6 +290,18 @@ class TestGenerators:
             gen_polygon(9)
         with pytest.raises(InvalidParameterError):
             gen_simplex(0)
+
+    @pytest.mark.parametrize(
+        "spec, direct",
+        [
+            ("simplex:3", lambda: gen_simplex(3)),
+            ("polygon:5", lambda: gen_polygon(5)),
+            ("product:2,1,1", lambda: gen_product_of_simplices(2, 1, 1)),
+            ("prism:6", lambda: product_polytope(*gen_polygon(6), *gen_simplex(1))),
+        ],
+    )
+    def test_spec_is_the_generator_call(self, spec, direct):
+        assert polytope_from_spec(spec) == direct()
 
     def test_product_counts(self):
         h, v = gen_product_of_simplices(2, 1)
