@@ -87,10 +87,16 @@ def _bundle_from_generator(spec: str) -> dict:
         path, _, vertex = arg.rpartition(",")
         if not path:
             raise InvalidParameterError("truncate spec needs <input>,<vertex>")
+        try:
+            vertex_id = int(vertex)
+        except ValueError:
+            raise InvalidParameterError(
+                f"truncate vertex is not an integer in spec {spec!r}"
+            ) from None
         bundle = _bundle_from_json(_load_json(path))
         if "incidence" not in bundle:
             raise InvalidParameterError("truncate input must carry incidence data")
-        return incidence_bundle(gen_truncated(bundle["incidence"], int(vertex)))
+        return incidence_bundle(gen_truncated(bundle["incidence"], vertex_id))
     if kind == "double":
         bundle = _bundle_from_json(_load_json(arg))
         return {"complex": double(bundle["complex"])}

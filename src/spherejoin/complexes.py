@@ -86,19 +86,29 @@ def _canonical_masks(masks) -> tuple[int, ...]:
 
 def compress_masks(masks, support: int) -> list[int]:
     """The masks moved onto the bits of `support`, the i-th lowest bit of
-    `support` becoming bit i; every mask must lie inside `support`."""
-    position, b = {}, support
+    `support` becoming bit i; every mask must lie inside `support`.
+
+    Each run of consecutive bits of `support` moves down as one block, by
+    the number of non-support bits below it, so a mask costs one
+    shift-and-mask per run rather than one step per bit.
+    """
+    runs: list[tuple[int, int]] = []  # (run mask, shift)
+    below = 0  # support bits below the current run
+    b = support
     while b:
         low = b & -b
-        position[low] = 1 << len(position)
-        b ^= low
+        run = b & ~(b + low)
+        runs.append((run, low.bit_length() - 1 - below))
+        below += run.bit_count()
+        b ^= run
+    if len(runs) == 1:
+        shift = runs[0][1]
+        return [t >> shift for t in masks]
     out = []
     for t in masks:
         c = 0
-        while t:
-            low = t & -t
-            c |= position[low]
-            t ^= low
+        for run, shift in runs:
+            c |= (t & run) >> shift
         out.append(c)
     return out
 
@@ -779,7 +789,7 @@ def is_pseudomanifold(complex_: SimplicialComplex) -> PseudomanifoldReport:
     )
 
 
-def pseudomanifold_masks(masks, n: int) -> tuple[bool, list[int], bool]:
+def pseudomanifold_masks(masks, n: int, cofacets=None) -> tuple[bool, list[int], bool]:
     """The pseudomanifold test on the maximal-face masks of an n-dimensional
     complex, n >= 1: (pure, violating ridge masks, strongly connected).
 
@@ -789,11 +799,14 @@ def pseudomanifold_masks(masks, n: int) -> tuple[bool, list[int], bool]:
     top face, and is that face minus one vertex, or is itself maximal, so
     the ridges are the top faces minus one vertex plus the maximal faces
     with n vertices.
-    Strong connectivity is union-find over top faces sharing a ridge.
+    Strong connectivity is union-find over top faces sharing a ridge.  A
+    caller that keeps the ridge map passes a dict as `cofacets`: it is
+    filled with `_ridge_cofacets` of the top faces, in the order they
+    appear in `masks`, plus each maximal ridge with no cofacet.
     """
     pure = all(fm.bit_count() == n + 1 for fm in masks)
     tops = [fm for fm in masks if fm.bit_count() == n + 1]
-    cofacets = _ridge_cofacets(tops)
+    cofacets = _ridge_cofacets(tops, {} if cofacets is None else cofacets)
     # a maximal ridge lies in no top face, so it keeps no cofacet
     cofacets.update((fm, []) for fm in masks if fm.bit_count() == n)
     violations = sorted(
@@ -802,17 +815,9 @@ def pseudomanifold_masks(masks, n: int) -> tuple[bool, list[int], bool]:
     return pure, violations, _connected(len(tops), cofacets.values())
 
 
-def strongly_connected_masks(tops) -> bool:
-    """Whether the top faces with the given masks, all of one size, are
-    strongly connected: any two are joined by a chain of top faces in which
-    consecutive ones share a ridge."""
-    return _connected(len(tops), _ridge_cofacets(tops).values())
-
-
-def _ridge_cofacets(tops) -> dict[int, list[int]]:
+def _ridge_cofacets(tops, cofacets: dict[int, list[int]]) -> dict[int, list[int]]:
     """Each top face minus one vertex, mapped to the indices of the top
-    faces that contain it."""
-    cofacets: dict[int, list[int]] = {}
+    faces that contain it, filled into the empty dict `cofacets`."""
     for ti, t in enumerate(tops):
         b = t
         while b:

@@ -293,15 +293,21 @@ def gen_product_of_simplices(*dims: int) -> tuple[PolytopeHRep, PolytopeVRep]:
     return h, v
 
 
-def _ints(csv: str) -> list[int]:
+def _ints(csv: str, spec: str) -> list[int]:
+    """The integers of the comma-separated list `csv`, read from `spec`;
+    the empty string is the empty list."""
+    items = csv.split(",") if csv else []
+    if "" in items:
+        raise InvalidParameterError(f"empty item in spec {spec!r}")
     try:
-        return [int(x) for x in csv.split(",") if x != ""]
+        return [int(x) for x in items]
     except ValueError as exc:
         raise InvalidParameterError(f"bad integer list {csv!r}") from exc
 
 
-def _one_int(arg: str, kind: str) -> int:
-    values = _ints(arg)
+def _one_int(spec: str) -> int:
+    kind, _, arg = spec.partition(":")
+    values = _ints(arg, spec)
     if len(values) != 1:
         raise InvalidParameterError(f"{kind} takes exactly one integer, got {arg!r}")
     return values[0]
@@ -312,13 +318,13 @@ def polytope_from_spec(spec: str) -> tuple[PolytopeHRep, PolytopeVRep]:
     ``product:n1,n2,...`` or ``prism:k`` (the k-gon times a segment)."""
     kind, _, arg = spec.partition(":")
     if kind == "simplex":
-        return gen_simplex(_one_int(arg, kind))
+        return gen_simplex(_one_int(spec))
     if kind == "polygon":
-        return gen_polygon(_one_int(arg, kind))
+        return gen_polygon(_one_int(spec))
     if kind == "product":
-        return gen_product_of_simplices(*_ints(arg))
+        return gen_product_of_simplices(*_ints(arg, spec))
     if kind == "prism":
-        return product_polytope(*gen_polygon(_one_int(arg, kind)), *gen_simplex(1))
+        return product_polytope(*gen_polygon(_one_int(spec)), *gen_simplex(1))
     raise InvalidParameterError(f"unknown generator {kind!r}")
 
 

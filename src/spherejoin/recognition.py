@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import prod
+from operator import or_
 
 from .complexes import (
     Face,
@@ -29,7 +31,6 @@ from .complexes import (
     is_pseudomanifold,
     pseudomanifold_masks,
     relabelled_masks,
-    strongly_connected_masks,
 )
 from .errors import (
     CapExceededError,
@@ -273,87 +274,140 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
     Dimension 0 is grounded at the two-point complex (the boundary of an
     edge), so duals of 1-dimensional polytopes recurse correctly.
 
-    No complex is built below the root.  A link is the list of its
-    maximal-face masks in the root's bit positions: the link of bit b in
-    tops is [t ^ b for t in tops if t & b], again an antichain since the
-    tops are one, and its vertices are the bits of the union of those masks.
-    Witness paths are root vertex ids, and ridge violations are turned
-    back into vertex sets only when a witness is built.
+    Above dimension 1 the root's pseudomanifold test is the only full one,
+    and no complex is built below it.  Purity and the two-cofacet ridge
+    rule carry over to every link: the top faces of lk(sigma) are the top
+    faces through sigma minus sigma, all of one size, and the cofacets of a
+    ridge r of lk(sigma) are those of the ridge r + sigma, minus sigma.  So
+    the link of a face sigma with k vertices has dimension n - k, and the
+    walk keeps only its star, the bitmask of the indices of the top faces
+    through sigma: star(sigma + v) is star(sigma) & on[v], where on[v] holds
+    the top faces through vertex bit v.
 
-    The root's pseudomanifold test (empty path) is the only full one.
-    Below it only strong connectivity is tested, because purity and the
-    two-cofacet ridge rule carry over to every link: the top faces of
-    lk(sigma) are the top faces through sigma minus sigma, all of one size,
-    and the cofacets of a ridge r of lk(sigma) are those of the ridge
-    r + sigma of the complex, minus sigma.  For the same reason every
-    vertex link keeps dimension one less than its host.
+    A face of codimension 2 has a 1-dimensional link in which every vertex
+    has degree 2, by the ridge rule: a disjoint union of cycles, one edge
+    per top face of the star.  It passes iff the star has 3 or 4 top faces,
+    which makes it a single 3- or 4-cycle; the cycle length is computed only
+    for the witness of a face that fails.  A link of dimension 2 or more is
+    tested for strong connectivity alone: two top faces through sigma share
+    a ridge through sigma iff they share a ridge, so the star is walked
+    along `adjacent`, the root's top faces that share a ridge with each.
+    Those links are memoized up to order-preserving relabelling, by the key
+    of `relabelled_masks` on [tops[i] ^ sigma for i in star], since the
+    verdict does not depend on vertex names; the 1-dimensional ones are
+    decided by one bit count, which costs less than a key.  Only successes
+    are stored, and a recognized link's faces are not walked again.
 
-    Recognized links are memoized up to order-preserving relabelling, by
-    the key of `relabelled_masks`: the verdict does not depend on vertex
-    names.  Only successes are stored; a failure goes straight up to the
-    root, so every witness path is the one first found.
+    Faces are walked in lexicographic pre-order: the children of sigma are
+    sigma + v for the vertices v of its link above its highest vertex, and
+    a failure goes straight up to the root with the path of sorted vertex
+    ids.  This is the first failure of the plain depth-first recursion into
+    every vertex link: a path there that is not ascending reaches a face
+    whose sorted path came earlier, so its link was already recognized.
     """
     if complex_.dim < 0:
         raise InvalidDimensionError("recursive recognition needs dim >= 0")
-    ids = complex_.vertices
-    recognized: set[tuple[int, frozenset[int]]] = set()
-
-    def run(tops: list[int], n: int, path: tuple[int, ...]) -> dict | None:
-        # returns None on success, a witness dict on failure
-        support = 0
-        for t in tops:
-            support |= t
-        key = relabelled_masks(tops, support)
-        if key in recognized:
-            return None
-        if n == 0:
-            w = (
-                None
-                if key[0] == 2
-                else {
-                    "kind": "bad_zero_dim_link",
-                    "path": list(path),
-                    "vertex_count": key[0],
-                }
-            )
-        elif n == 1:
-            length = cycle_length_masks(tops)
-            if length in (3, 4):
-                w = None
-            else:
-                w = {
-                    "kind": "link_not_short_cycle",
-                    "path": list(path),
-                    "cycle_length": length,
-                }
-        else:
-            if path:
-                pure, violations, connected = True, [], strongly_connected_masks(tops)
-            else:
-                pure, violations, connected = pseudomanifold_masks(tops, n)
-            if not (pure and not violations and connected):
-                w = {
-                    "kind": "not_pseudomanifold",
-                    "path": list(path),
-                    "pure": pure,
-                    "ridge_violations": [
-                        sorted(complex_._unmask(r)) for r in violations[:3]
-                    ],
-                    "strongly_connected": connected,
-                }
-            else:
-                w = None
-                for low in bits(support):
-                    v = ids[low.bit_length() - 1]
-                    w = run([t ^ low for t in tops if t & low], n - 1, path + (v,))
-                    if w is not None:
-                        break
-        if w is None:
-            recognized.add(key)
-        return w
-
-    witness = run(list(complex_._max_masks), complex_.dim, ())
+    n = complex_.dim
+    tops = complex_._max_masks
+    cofacets: dict[int, list[int]] = {}
+    if n == 0:
+        witness = (
+            None
+            if complex_.vertex_count == 2
+            else {"kind": "bad_zero_dim_link", "path": [], "vertex_count": complex_.vertex_count}
+        )
+    elif n == 1:
+        length = cycle_length_masks(tops)
+        witness = (
+            None
+            if length in (3, 4)
+            else {"kind": "link_not_short_cycle", "path": [], "cycle_length": length}
+        )
+    else:
+        pure, violations, connected = pseudomanifold_masks(tops, n, cofacets)
+        witness = (
+            None
+            if pure and not violations and connected
+            else {
+                "kind": "not_pseudomanifold",
+                "path": [],
+                "pure": pure,
+                "ridge_violations": [sorted(complex_._unmask(r)) for r in violations[:3]],
+                "strongly_connected": connected,
+            }
+        )
+    if witness is None and n >= 2:
+        witness = _walk_links(complex_, cofacets)
     return RecognitionReport("Recursive", witness is None, witness)
+
+
+def _walk_links(complex_: SimplicialComplex, cofacets: dict[int, list[int]]) -> dict | None:
+    """The first failing face below the root of `recognize_recursive`, as
+    its witness, or None; the root is a pseudomanifold of dimension at
+    least 2, with the ridge map `cofacets` of its top faces."""
+    tops = complex_._max_masks
+    adjacent = [0] * len(tops)
+    for a, b in cofacets.values():
+        adjacent[a] |= 1 << b
+        adjacent[b] |= 1 << a
+    on = [0] * complex_.vertex_count
+    for i, t in enumerate(tops):
+        for low in bits(t):
+            on[low.bit_length() - 1] |= 1 << i
+    recognized: set = set()
+
+    def link(face: int, star: int) -> list[int]:
+        return [tops[low.bit_length() - 1] ^ face for low in bits(star)]
+
+    def walk(sigma: int, star: int, support: int, d: int) -> dict | None:
+        # sigma's link, of dimension d >= 2 on the vertex bits `support`,
+        # passed; returns None once every child passes, else a witness
+        above = support >> sigma.bit_length() << sigma.bit_length()
+        for low in bits(above):
+            face = sigma | low
+            face_star = star & on[low.bit_length() - 1]
+            if d == 2:
+                if face_star.bit_count() in (3, 4):
+                    continue
+                return {
+                    "kind": "link_not_short_cycle",
+                    "path": complex_._ids(face),
+                    "cycle_length": cycle_length_masks(link(face, face_star)),
+                }
+            masks = link(face, face_star)
+            link_support = reduce(or_, masks)
+            key = relabelled_masks(masks, link_support)
+            if key in recognized:
+                continue
+            if not _star_connected(face_star, adjacent):
+                return {
+                    "kind": "not_pseudomanifold",
+                    "path": complex_._ids(face),
+                    "pure": True,
+                    "ridge_violations": [],
+                    "strongly_connected": False,
+                }
+            w = walk(face, face_star, link_support, d - 1)
+            if w is not None:
+                return w
+            recognized.add(key)
+        return None
+
+    return walk(0, (1 << len(tops)) - 1, complex_._full_mask, complex_.dim)
+
+
+def _star_connected(star: int, adjacent: list[int]) -> bool:
+    """Whether the top faces in `star` are strongly connected, grown from
+    the lowest one along `adjacent` (the top faces sharing a ridge with
+    each), restricted to `star`."""
+    reached = todo = star & -star
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        grown = adjacent[low.bit_length() - 1] & star & ~reached
+        reached |= grown
+        todo |= grown
+    return reached == star
 
 
 def check_double(

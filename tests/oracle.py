@@ -312,6 +312,25 @@ def canonical_faces_reference(faces):
     return tuple(sorted(kept, key=lambda f: tuple(sorted(f))))
 
 
+def compress_masks_reference(masks, support: int) -> list[int]:
+    """The masks moved onto the bits of `support`, one bit at a time: the
+    i-th lowest bit of `support` becomes bit i."""
+    position, b = {}, support
+    while b:
+        low = b & -b
+        position[low] = 1 << len(position)
+        b ^= low
+    out = []
+    for t in masks:
+        c = 0
+        while t:
+            low = t & -t
+            c |= position[low]
+            t ^= low
+        out.append(c)
+    return out
+
+
 def down_closure(masks) -> list[list[int]]:
     """All nonempty faces of the complex with the given maximal-face masks,
     as sorted mask lists indexed by dimension.

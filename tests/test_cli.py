@@ -447,6 +447,14 @@ class TestGen:
             ("product:a", "bad integer list 'a'"),
             ("cube:3", "unknown generator 'cube'"),
             ("truncate:noComma", "truncate spec needs <input>,<vertex>"),
+            # an empty item is refused, not dropped; the vertex is read
+            # before the input file
+            ("product:1,,2", "empty item in spec 'product:1,,2'"),
+            ("simplex:3,", "empty item in spec 'simplex:3,'"),
+            (
+                "truncate:missing.json,x",
+                "truncate vertex is not an integer in spec 'truncate:missing.json,x'",
+            ),
         ],
     )
     def test_refused_spec(self, capsys, spec, message):

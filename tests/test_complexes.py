@@ -27,11 +27,12 @@ from spherejoin import (
     simplex_boundary_on,
 )
 from spherejoin import complexes as complexes_module
-from spherejoin.complexes import _minimal_transversals, bits, face_levels
+from spherejoin.complexes import _minimal_transversals, bits, compress_masks, face_levels
 
 from conftest import complexes, cycle, spheres
 from oracle import (
     all_faces,
+    compress_masks_reference,
     double_oracle,
     down_closure,
     minimal_non_faces_oracle,
@@ -255,6 +256,28 @@ class TestLink:
     def test_not_a_face(self, square):
         with pytest.raises(NotAFaceError):
             square.link({0, 2})
+
+
+@st.composite
+def supported_masks(draw):
+    """A support mask, up to 130 bits so that runs cross machine words, and
+    masks inside it."""
+    support = draw(st.integers(min_value=0, max_value=(1 << 130) - 1))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << 130) - 1), max_size=8))
+    return [t & support for t in masks], support
+
+
+class TestCompressMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(supported_masks())
+    # no support, one run from bit 0, one run above it, runs of one bit
+    @example(([0], 0))
+    @example(([0b101, 0b111], 0b111))
+    @example(([0b11000, 0b01000], 0b11000))
+    @example(([0b1010101, 0b1000001], 0b1010101))
+    def test_matches_bit_by_bit_reference(self, case):
+        masks, support = case
+        assert compress_masks(masks, support) == compress_masks_reference(masks, support)
 
 
 class TestFullSubcomplex:

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherejoin import (
@@ -24,7 +24,7 @@ from spherejoin import (
     simplex_boundary_on,
 )
 
-from conftest import complexes, spheres
+from conftest import complexes, cycle, pinched_octahedron, spheres
 from oracle import (
     canonical_faces_oracle,
     complex_reference,
@@ -213,6 +213,17 @@ class TestRelabelingInvariance:
                 if k.dim >= 1:
                     assert recognize_recursive(shuffled).verdict == base
 
+    def test_recursion_matches_reference_relabelled(self, catalog):
+        # the walk runs in bit order, which a relabelling permutes, so the
+        # witness path must still be the reference's first failure
+        rng = random.Random(44)
+        inputs = [(e.name, e.complex) for e in catalog]
+        inputs += [(name, k) for name, (k, _, _) in RECURSIVE_DEEP_FAILURES.items()]
+        for name, k in inputs:
+            for _ in range(3):
+                shuffled = self._relabeled(k, rng)
+                assert recognize_recursive(shuffled) == recursive_reference(shuffled), name
+
 
 def _outcome(criterion, k):
     """The report, or the type of the typed error the criterion raised."""
@@ -222,8 +233,48 @@ def _outcome(criterion, k):
         return type(exc)
 
 
+def suspended(k, times=1):
+    """k joined with `times` point pairs on new vertices above its own."""
+    for _ in range(times):
+        m = max(k.vertices) + 1
+        k = k.join(simplex_boundary_on([m, m + 1]))
+    return k
+
+
+def pinch_below_root():
+    """A point pair below the suspended pinched octahedron: the link of
+    vertex 0 is strongly connected, that of {0, 2} is two triangles
+    suspended, which is not."""
+    k = suspended(pinched_octahedron())
+    return simplex_boundary_on([0, 1]).join(k.relabel({v: v + 2 for v in k.vertices}))
+
+
+# Recursive witnesses below the root (path length in brackets):
+# not_pseudomanifold [1] and [2], link_not_short_cycle [1], [2] and [3]
+RECURSIVE_DEEP_FAILURES = {
+    "suspended pinched octahedron": (suspended(pinched_octahedron()), "not_pseudomanifold", 1),
+    "pinch below the root": (pinch_below_root(), "not_pseudomanifold", 2),
+    "suspended pentagon": (suspended(cycle(5)), "link_not_short_cycle", 1),
+    "twice suspended pentagon": (suspended(cycle(5), 2), "link_not_short_cycle", 2),
+    "thrice suspended hexagon": (suspended(cycle(6), 3), "link_not_short_cycle", 3),
+}
+
+
+def test_deep_failure_examples_reach_their_witness():
+    for name, (k, kind, depth) in RECURSIVE_DEEP_FAILURES.items():
+        witness = recognize_recursive(k).witness
+        assert (witness["kind"], len(witness["path"])) == (kind, depth), name
+
+
+def _with_examples(test):
+    for k, _, _ in RECURSIVE_DEEP_FAILURES.values():
+        test = example(k)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(complexes(max_vertices=7), spheres()))
+@_with_examples
 def test_criteria_match_references(k):
     # the library criteria skip work the pseudomanifold structure fixes;
     # reports, witnesses included, must equal the plain versions'

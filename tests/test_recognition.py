@@ -25,6 +25,8 @@ from spherejoin import (
     simplex_boundary_on,
 )
 from spherejoin import recognition
+from spherejoin.catalog import polytope_bundle
+from spherejoin.geometry import polytope_from_spec
 
 from conftest import complexes, pinched_octahedron, spheres
 
@@ -388,31 +390,55 @@ class TestWorkCounts:
     """Work the criteria skip because the complex already fixes the answer,
     counted in calls rather than timed."""
 
-    def test_recursive_memo_up_to_relabelling(self, monkeypatch, product_333):
-        tested = []
+    @staticmethod
+    def _recursive_work(monkeypatch, k):
+        """Run Recursive on k, which must pass; return the dimensions given
+        to the full pseudomanifold test, the number of link keys, the number
+        of connectivity tests and the complexes built."""
+        tested, keys, connected = [], [], []
         core = recognition.pseudomanifold_masks
+        key = recognition.relabelled_masks
+        grow = recognition._star_connected
 
-        def counted(masks, n):
+        def counted(masks, n, cofacets=None):
             tested.append(n)
-            return core(masks, n)
+            return core(masks, n, cofacets)
 
-        connected = []
-        inherited = recognition.strongly_connected_masks
+        def counted_key(masks, support):
+            keys.append(len(masks))
+            return key(masks, support)
 
-        def counted_connected(masks):
-            connected.append(len(masks))
-            return inherited(masks)
+        def counted_connected(star, adjacent):
+            connected.append(star)
+            return grow(star, adjacent)
 
         monkeypatch.setattr(recognition, "pseudomanifold_masks", counted)
-        monkeypatch.setattr(recognition, "strongly_connected_masks", counted_connected)
+        monkeypatch.setattr(recognition, "relabelled_masks", counted_key)
+        monkeypatch.setattr(recognition, "_star_connected", counted_connected)
         built = _count_calls(monkeypatch, "_store")
-        assert recognize_recursive(product_333).verdict
+        assert recognize_recursive(k).verdict
+        return tested, len(keys), len(connected), built
+
+    def test_recursive_memo_up_to_relabelling(self, monkeypatch, product_333):
+        tested, keys, connected, built = self._recursive_work(monkeypatch, product_333)
         # the full pseudomanifold test runs on the root alone; below it, one
-        # connectivity test per recognized link class of dimension >= 2
+        # key per face with a link of dimension >= 2 whose parent's link was
+        # not already recognized, and one connectivity test per new key; the
+        # 1-dimensional links are decided by their star size
         assert tested == [8]
-        assert len(connected) == 35
-        # every link is a list of masks, never a complex
+        assert keys == 144
+        assert connected == 35
+        # every link is a star bitmask, never a complex
         assert built == []
+
+    @pytest.mark.parametrize(
+        "spec, keys, connected",
+        [("product:1,1,1,1,1,1,1,1,1,1", 98, 7), ("product:4,4,4", 360, 80)],
+    )
+    def test_recursive_work_at_the_cap(self, monkeypatch, spec, keys, connected):
+        k = polytope_bundle(*polytope_from_spec(spec))["complex"]
+        work = self._recursive_work(monkeypatch, k)
+        assert work == ([k.dim], keys, connected, [])
 
     def test_double_builds_no_frozenset_face(self, monkeypatch, catalog, product_333):
         doubles = []
