@@ -86,13 +86,16 @@ class VertexFacetIncidence:
     def from_json_dict(cls, data: dict) -> "VertexFacetIncidence":
         json_object(data, "incidence JSON")
         rows = json_arrays(data, "vertex_facets")
-        return cls(
-            dim=json_integer(data, "n"),
-            facet_count=json_integer(data, "facets"),
-            vertex_facets=tuple(
-                frozenset(json_entries(s, "vertex_facets", "integer")) for s in rows
-            ),
-        )
+        dim = json_integer(data, "n")
+        facet_count = json_integer(data, "facets")
+        vertex_facets = []
+        for i, row in enumerate(rows):
+            facets = frozenset(json_entries(row, "vertex_facets", "integer"))
+            # a set alone would read [2, 0, 0] as a vertex on the facets {0, 2}
+            if len(facets) != len(row):
+                raise InvalidParameterError(f"vertex_facets row {i} repeats a facet: {row}")
+            vertex_facets.append(facets)
+        return cls(dim=dim, facet_count=facet_count, vertex_facets=tuple(vertex_facets))
 
 
 def _dot(a: Vector, b: Vector) -> Fraction:
@@ -183,6 +186,8 @@ def dual_boundary_complex(incidence: VertexFacetIncidence) -> SimplicialComplex:
     """Boundary complex of the dual simplicial polytope: one vertex per
     facet, one maximal face per polytope vertex."""
     n = incidence.dim
+    if n < 1:
+        raise NotSimpleError(f"a simple polytope has dimension at least 1, got {n}")
     if not check_simple(incidence, n):
         raise NotSimpleError("incidence is not simple")
     if len(set(incidence.vertex_facets)) != len(incidence.vertex_facets):

@@ -215,6 +215,21 @@ def malformed():
     return refusals(MALFORMED, "recognize", "--in", "{}")
 
 
+@step("malformed-incidence")
+def malformed_incidence():
+    """recognize --in on incidence and polytope JSON that no simple polytope
+    has: each must be refused with exit 2 and a message naming the fault.  A
+    set alone would read the row [2, 0, 0] as the two facets {0, 2}, which
+    passes as simple; a dimension below 1 must be refused before the dual
+    complex is built, not by the pseudomanifold test inside it."""
+    return refusals([
+        ("repeated-facet", '{"n": 2, "facets": 3, "vertex_facets": [[0, 1], [1, 2], [2, 0, 0]]}'),
+        ("zero-dim-incidence", '{"n": 0, "facets": 0, "vertex_facets": [[]]}'),
+        ("negative-dim-incidence", '{"n": -1, "facets": 0, "vertex_facets": []}'),
+        ("zero-dim-polytope", '{"dim": 0, "inequalities": [], "vertices": [[]]}'),
+    ], "recognize", "--in", "{}")
+
+
 @step("gen")
 def gen():
     """gen on one spec of each polytope family, each followed by the sha256

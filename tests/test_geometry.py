@@ -258,6 +258,12 @@ class TestDualComplex:
         inc = incidence_from_hv(*gen_simplex(1))
         assert dual_boundary_complex(inc).f_vector() == [2]
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_below_one_refused(self, n):
+        inc = VertexFacetIncidence(dim=n, facet_count=0, vertex_facets=(frozenset(),))
+        with pytest.raises(NotSimpleError, match=f"dimension at least 1, got {n}$"):
+            dual_boundary_complex(inc)
+
     def test_product_dual_is_join_of_duals(self, catalog):
         by_name = {e.name: e for e in catalog}
         a = by_name["polygon:4"]
@@ -447,6 +453,12 @@ class TestIncidenceJson:
     def test_wrong_shape_rejected(self, text):
         with pytest.raises(InvalidParameterError):
             VertexFacetIncidence.from_json_dict(json.loads(text))
+
+    def test_repeated_facet_id_rejected(self):
+        # a set alone would read the last row as [0, 2], which passes as simple
+        data = {"n": 2, "facets": 3, "vertex_facets": [[0, 1], [1, 2], [2, 0, 0]]}
+        with pytest.raises(InvalidParameterError, match=r"row 2 repeats a facet: \[2, 0, 0\]"):
+            VertexFacetIncidence.from_json_dict(data)
 
     def test_out_of_range_facet_id_unchanged(self):
         data = incidence_from_hv(*gen_polygon(4)).to_json_dict()
