@@ -10,8 +10,6 @@ change that alters a step's text on purpose rewrites that step's line with
 the output of `python tests/pins.py STEP | sha256sum`.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import hashlib
