@@ -14,21 +14,17 @@ mislabel a non-polytopal input.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from math import prod
 from operator import or_
 
 from .complexes import (
-    Face,
     SimplicialComplex,
     bits,
     cycle_length,
     cycle_length_masks,
     double,
-    is_pseudomanifold,
     pseudomanifold_masks,
     relabelled_masks,
 )
@@ -199,72 +195,20 @@ def check_simplex_link(complex_: SimplicialComplex) -> RecognitionReport:
     return RecognitionReport("SimplexLink", True)
 
 
-def _require_pure_pseudomanifold(complex_: SimplicialComplex) -> None:
-    if complex_.dim < 0:
-        raise PreconditionViolatedError("the empty complex is not a pseudomanifold")
-    if complex_.dim == 0:
-        # the only boundary complex dual to a simple 1-polytope is a vertex pair
-        if complex_.vertex_count != 2:
-            raise PreconditionViolatedError(
-                "0-dimensional input must be exactly two points"
-            )
-        return
-    rep = is_pseudomanifold(complex_)
-    if not (rep.is_pure and rep.holds):
-        raise PreconditionViolatedError(
-            "input is not a pure pseudomanifold; "
-            f"pure={rep.is_pure}, violations={len(rep.ridge_violations)}, "
-            f"strongly_connected={rep.strongly_connected}"
-        )
-
-
 def check_two_face(complex_: SimplicialComplex) -> RecognitionReport:
     """Every codimension-2 face must have a closed-cycle link of length 3 or 4
     (dually: every 2-dimensional face of the polytope is a 3- or 4-gon).
 
     At dimension 1 the complex itself plays that role (the codimension-2
     face is the empty simplex).  The input must be a pure pseudomanifold.
-
-    Above dimension 1 no link is built where the answer is already fixed.
-    Each vertex of link(eta) spans, with eta, a ridge lying in exactly two
-    top faces, so the link is a 2-regular graph whose c edges are the top
-    faces containing eta; for c = 3 or 4 it is a single 3- or 4-cycle.  The
-    cofaces are counted in one pass over the top faces, and only the first
-    eta in canonical order with another count has its link built.
+    This is TwoFace's half of the star walk, `_star_criteria`.
     """
-    _require_pure_pseudomanifold(complex_)
-    n = complex_.dim
-    if n == 0:
-        return RecognitionReport("TwoFace", True)
-    eta: Face = frozenset()
-    if n > 1:
-        cofaces = Counter(
-            t ^ a ^ b
-            for t in complex_._max_masks
-            for a, b in combinations([1 << i for i in range(t.bit_length()) if t >> i & 1], 2)
-        )
-        bad = [e for e, c in cofaces.items() if c not in (3, 4)]
-        if not bad:
-            return RecognitionReport("TwoFace", True)
-        eta = min((complex_._unmask(e) for e in bad), key=lambda f: tuple(sorted(f)))
-    length = cycle_length(complex_.link(eta) if eta else complex_)
-    if length is None:
-        return RecognitionReport(
-            "TwoFace",
-            False,
-            {"kind": "codim2_link_not_cycle", "eta": sorted(eta)},
-        )
-    if length > 4:
-        return RecognitionReport(
-            "TwoFace",
-            False,
-            {
-                "kind": "long_codim2_link",
-                "eta": sorted(eta),
-                "cycle_length": length,
-            },
-        )
-    return RecognitionReport("TwoFace", True)
+    if complex_.dim < 0:
+        raise PreconditionViolatedError("the empty complex is not a pseudomanifold")
+    report = _star_criteria(complex_)[0]
+    if report.skipped:
+        raise PreconditionViolatedError(report.witness["skipped"])
+    return report
 
 
 def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
@@ -272,7 +216,16 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
     themselves recognized, grounded at the 3- and 4-cycles in dimension 1.
 
     Dimension 0 is grounded at the two-point complex (the boundary of an
-    edge), so duals of 1-dimensional polytopes recurse correctly.
+    edge), so duals of 1-dimensional polytopes recurse correctly.  This is
+    Recursive's half of the star walk, `_star_criteria`.
+    """
+    return _star_criteria(complex_)[1]
+
+
+def _star_criteria(complex_: SimplicialComplex) -> tuple[RecognitionReport, RecognitionReport]:
+    """The TwoFace and Recursive reports from one pseudomanifold test and one
+    walk over the stars of the faces; TwoFace's report is skipped, with the
+    reason as its witness, when the input is not a pure pseudomanifold.
 
     Above dimension 1 the root's pseudomanifold test is the only full one,
     and no complex is built below it.  Purity and the two-cofacet ridge
@@ -286,65 +239,85 @@ def recognize_recursive(complex_: SimplicialComplex) -> RecognitionReport:
 
     A face of codimension 2 has a 1-dimensional link in which every vertex
     has degree 2, by the ridge rule: a disjoint union of cycles, one edge
-    per top face of the star.  It passes iff the star has 3 or 4 top faces,
-    which makes it a single 3- or 4-cycle; the cycle length is computed only
-    for the witness of a face that fails.  A link of dimension 2 or more is
-    tested for strong connectivity alone: two top faces through sigma share
-    a ridge through sigma iff they share a ridge, so the star is walked
-    along `adjacent`, the root's top faces that share a ridge with each.
-    Those links are memoized up to order-preserving relabelling, by the key
-    of `relabelled_masks` on [tops[i] ^ sigma for i in star], since the
-    verdict does not depend on vertex names; the 1-dimensional ones are
-    decided by one bit count, which costs less than a key.  Only successes
-    are stored, and a recognized link's faces are not walked again.
+    per top face of the star.  It passes both criteria iff the star has 3
+    or 4 top faces, which makes it a single 3- or 4-cycle; only a face that
+    fails has its cycle length computed, and its link built.  A link of
+    dimension 2 or more is tested for strong connectivity alone: two top
+    faces through sigma share a ridge through sigma iff they share a ridge,
+    so the star is walked along `adjacent`, the root's top faces that share
+    a ridge with each.  Those links are memoized up to order-preserving
+    relabelling, by the key of `relabelled_masks` on [tops[i] ^ sigma for i
+    in star], since the verdicts do not depend on vertex names; the
+    1-dimensional ones are decided by one bit count, which costs less than
+    a key.  Only links that passed are stored, and their faces are not
+    walked again.
 
     Faces are walked in lexicographic pre-order: the children of sigma are
-    sigma + v for the vertices v of its link above its highest vertex, and
-    a failure goes straight up to the root with the path of sorted vertex
-    ids.  This is the first failure of the plain depth-first recursion into
-    every vertex link: a path there that is not ascending reaches a face
-    whose sorted path came earlier, so its link was already recognized.
+    sigma + v for the vertices v of its link above its highest vertex.  So
+    the codimension-2 faces come in the canonical order of their sorted
+    vertex ids, and Recursive's witness is the first failure of the plain
+    depth-first recursion into every vertex link: a path there that is not
+    ascending reaches a face whose sorted path came earlier, so its link
+    was already recognized.  After Recursive fails, the walk goes on for
+    TwoFace alone until it meets a codimension-2 face that fails: a link
+    stored before the failure passed Recursive in full, and every link
+    stored passed TwoFace.
     """
-    if complex_.dim < 0:
-        raise InvalidDimensionError("recursive recognition needs dim >= 0")
     n = complex_.dim
+    if n < 0:
+        raise InvalidDimensionError("recursive recognition needs dim >= 0")
     tops = complex_._max_masks
-    cofacets: dict[int, list[int]] = {}
+    skip = witness = eta = None
     if n == 0:
-        witness = (
-            None
-            if complex_.vertex_count == 2
-            else {"kind": "bad_zero_dim_link", "path": [], "vertex_count": complex_.vertex_count}
-        )
-    elif n == 1:
-        length = cycle_length_masks(tops)
-        witness = (
-            None
-            if length in (3, 4)
-            else {"kind": "link_not_short_cycle", "path": [], "cycle_length": length}
-        )
+        if complex_.vertex_count != 2:
+            # the only boundary complex dual to a simple 1-polytope is a vertex pair
+            skip = "0-dimensional input must be exactly two points"
+            witness = {"kind": "bad_zero_dim_link", "path": [], "vertex_count": complex_.vertex_count}
     else:
+        cofacets: dict[int, list[int]] = {}
         pure, violations, connected = pseudomanifold_masks(tops, n, cofacets)
-        witness = (
-            None
-            if pure and not violations and connected
-            else {
+        if not (pure and not violations and connected):
+            skip = (
+                "input is not a pure pseudomanifold; "
+                f"pure={pure}, violations={len(violations)}, "
+                f"strongly_connected={connected}"
+            )
+        if n == 1:
+            length = cycle_length_masks(tops)
+            if length not in (3, 4):
+                witness = {"kind": "link_not_short_cycle", "path": [], "cycle_length": length}
+                eta = 0
+        elif skip:
+            witness = {
                 "kind": "not_pseudomanifold",
                 "path": [],
                 "pure": pure,
                 "ridge_violations": [sorted(complex_._unmask(r)) for r in violations[:3]],
                 "strongly_connected": connected,
             }
-        )
-    if witness is None and n >= 2:
-        witness = _walk_links(complex_, cofacets)
-    return RecognitionReport("Recursive", witness is None, witness)
+        else:
+            witness, eta = _walk_links(complex_, cofacets)
+    recursive = RecognitionReport("Recursive", witness is None, witness)
+    if skip:
+        return RecognitionReport("TwoFace", None, {"skipped": skip}), recursive
+    if eta is None:
+        return RecognitionReport("TwoFace", True), recursive
+    face = complex_._unmask(eta)
+    # a star of other than 3 or 4 top faces is no cycle, or a longer one
+    length = cycle_length(complex_.link(face) if face else complex_)
+    two_face = (
+        {"kind": "codim2_link_not_cycle", "eta": sorted(face)}
+        if length is None
+        else {"kind": "long_codim2_link", "eta": sorted(face), "cycle_length": length}
+    )
+    return RecognitionReport("TwoFace", False, two_face), recursive
 
 
-def _walk_links(complex_: SimplicialComplex, cofacets: dict[int, list[int]]) -> dict | None:
-    """The first failing face below the root of `recognize_recursive`, as
-    its witness, or None; the root is a pseudomanifold of dimension at
-    least 2, with the ridge map `cofacets` of its top faces."""
+def _walk_links(complex_: SimplicialComplex, cofacets: dict) -> tuple[dict | None, int | None]:
+    """Recursive's first failing face below the root of `_star_criteria`, as
+    its witness, and TwoFace's, as a mask; None where there is none.  The
+    root is a pseudomanifold of dimension at least 2, with the ridge map
+    `cofacets` of its top faces."""
     tops = complex_._max_masks
     adjacent = [0] * len(tops)
     for a, b in cofacets.values():
@@ -355,13 +328,16 @@ def _walk_links(complex_: SimplicialComplex, cofacets: dict[int, list[int]]) -> 
         for low in bits(t):
             on[low.bit_length() - 1] |= 1 << i
     recognized: set = set()
+    failure = None
 
     def link(face: int, star: int) -> list[int]:
         return [tops[low.bit_length() - 1] ^ face for low in bits(star)]
 
-    def walk(sigma: int, star: int, support: int, d: int) -> dict | None:
-        # sigma's link, of dimension d >= 2 on the vertex bits `support`,
-        # passed; returns None once every child passes, else a witness
+    def walk(sigma: int, star: int, support: int, d: int) -> int | None:
+        # sigma's link has dimension d >= 2 on the vertex bits `support`;
+        # returns the first codimension-2 face below sigma that fails, or
+        # None, and records Recursive's first failure in `failure`
+        nonlocal failure
         above = support >> sigma.bit_length() << sigma.bit_length()
         for low in bits(above):
             face = sigma | low
@@ -369,31 +345,34 @@ def _walk_links(complex_: SimplicialComplex, cofacets: dict[int, list[int]]) -> 
             if d == 2:
                 if face_star.bit_count() in (3, 4):
                     continue
-                return {
-                    "kind": "link_not_short_cycle",
-                    "path": complex_._ids(face),
-                    "cycle_length": cycle_length_masks(link(face, face_star)),
-                }
+                if failure is None:
+                    failure = {
+                        "kind": "link_not_short_cycle",
+                        "path": complex_._ids(face),
+                        "cycle_length": cycle_length_masks(link(face, face_star)),
+                    }
+                return face
             masks = link(face, face_star)
             link_support = reduce(or_, masks)
             key = relabelled_masks(masks, link_support)
             if key in recognized:
                 continue
-            if not _star_connected(face_star, adjacent):
-                return {
+            if failure is None and not _star_connected(face_star, adjacent):
+                failure = {
                     "kind": "not_pseudomanifold",
                     "path": complex_._ids(face),
                     "pure": True,
                     "ridge_violations": [],
                     "strongly_connected": False,
                 }
-            w = walk(face, face_star, link_support, d - 1)
-            if w is not None:
-                return w
+            eta = walk(face, face_star, link_support, d - 1)
+            if eta is not None:
+                return eta
             recognized.add(key)
         return None
 
-    return walk(0, (1 << len(tops)) - 1, complex_._full_mask, complex_.dim)
+    eta = walk(0, (1 << len(tops)) - 1, complex_._full_mask, complex_.dim)
+    return failure, eta
 
 
 def _star_connected(star: int, adjacent: list[int]) -> bool:
@@ -471,10 +450,11 @@ def recognize_all(
 ) -> ConsolidatedReport:
     """Run every criterion and assert their mutual agreement.
 
-    Never short-circuits: the cross-check is the point.  The two-face
-    criterion is skipped (verdict None) when its pure-pseudomanifold
-    precondition fails, and the double criterion is skipped when the
-    doubled vertex count exceeds the cap.  Disagreement between the
+    Never short-circuits: the cross-check is the point.  TwoFace and
+    Recursive come from one star walk, `_star_criteria`, so the
+    pseudomanifold test runs once.  TwoFace is skipped (verdict None) when
+    its pure-pseudomanifold precondition fails, and Double is skipped when
+    the doubled vertex count exceeds the cap.  Disagreement between the
     criteria that did run is reported as a first-class result: it
     falsifies either the implementation or the assumption that the input
     is dual to a simple polytope.
@@ -487,12 +467,8 @@ def recognize_all(
     reports = [
         RecognitionReport("NonFacePartition", dec is not None, nf_witness),
         check_simplex_link(complex_),
+        *_star_criteria(complex_),
     ]
-    try:
-        reports.append(check_two_face(complex_))
-    except PreconditionViolatedError as exc:
-        reports.append(RecognitionReport("TwoFace", None, {"skipped": str(exc)}))
-    reports.append(recognize_recursive(complex_))
     if 2 * complex_.vertex_count <= cap:
         reports.append(check_double(complex_, cap))
     else:

@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,24 @@ def pinched_octahedron():
     k = octahedron_on_pairs().stellar_subdivide({0, 2, 4}).stellar_subdivide({1, 3, 5})
     rename = {6: 0, 7: 0, **{v: v + 1 for v in range(6)}}
     return SimplicialComplex([{rename[v] for v in f} for f in k.maximal_faces])
+
+
+def pinched_cylinder():
+    """Vertex 0 coned over two tetrahedron boundaries, on a = [1, 2, 3, 4]
+    and b = [5, 6, 7, 8], which the staircase triangulation of the boundary
+    of a tetrahedron times an interval joins: for i < j < k, the tetrahedra
+    {a_i,a_j,a_k,b_k}, {a_i,a_j,b_j,b_k} and {a_i,b_i,b_j,b_k}.
+
+    A strongly connected pseudomanifold whose vertex 0 has a link that is
+    not: two disjoint tetrahedron boundaries.  Its first codimension-2 face
+    with a long link, the edge {1, 2} with a 6-cycle, lies outside the star
+    of vertex 0.
+    """
+    a, b = [1, 2, 3, 4], [5, 6, 7, 8]
+    faces = [{0, *t} for part in (a, b) for t in combinations(part, 3)]
+    for i, j, k in combinations(range(4), 3):
+        faces += [{a[i], a[j], a[k], b[k]}, {a[i], a[j], b[j], b[k]}, {a[i], b[i], b[j], b[k]}]
+    return build_complex(faces, 9)
 
 
 def cycle(k):

@@ -24,11 +24,11 @@ from spherejoin import (
     recognize_recursive,
     simplex_boundary_on,
 )
-from spherejoin import recognition
+from spherejoin import complexes as complexes_module, recognition
 from spherejoin.catalog import polytope_bundle
 from spherejoin.geometry import polytope_from_spec
 
-from conftest import complexes, pinched_octahedron, spheres
+from conftest import complexes, pinched_cylinder, pinched_octahedron, spheres
 
 
 @pytest.fixture
@@ -372,6 +372,23 @@ class TestWitnessKinds:
             "strongly_connected": False,
         }
 
+    def test_two_face_witness_past_the_recursive_failure(self):
+        # Recursive fails at vertex 0, whose link is two disjoint tetrahedron
+        # boundaries; TwoFace's first long link lies outside that star
+        k = pinched_cylinder()
+        recursive = {
+            "kind": "not_pseudomanifold",
+            "path": [0],
+            "pure": True,
+            "ridge_violations": [],
+            "strongly_connected": False,
+        }
+        two_face = {"kind": "long_codim2_link", "eta": [1, 2], "cycle_length": 6}
+        assert recognize_recursive(k).witness == recursive
+        assert check_two_face(k).witness == two_face
+        by_name = {r.criterion: r.witness for r in recognize_all(k).reports}
+        assert (by_name["TwoFace"], by_name["Recursive"]) == (two_face, recursive)
+
 
 def _count_calls(monkeypatch, method):
     """Record each call of a SimplicialComplex method, by its arguments."""
@@ -464,7 +481,26 @@ class TestWorkCounts:
         links = _count_calls(monkeypatch, "link")
         for k in products:
             assert check_two_face(k).verdict
+            assert recognize_all(k).positive
         assert links == []
+
+    def test_recognize_all_tests_pseudomanifold_once(self, monkeypatch, catalog, pentagon):
+        tested = []
+        core = complexes_module.pseudomanifold_masks
+
+        def counted(masks, n, cofacets=None):
+            tested.append(n)
+            return core(masks, n, cofacets)
+
+        # both bindings: `is_pseudomanifold` calls it through its own module
+        monkeypatch.setattr(complexes_module, "pseudomanifold_masks", counted)
+        monkeypatch.setattr(recognition, "pseudomanifold_masks", counted)
+        inputs = [e.complex for e in catalog] + [pentagon, pinched_octahedron(), pinched_cylinder()]
+        for k in inputs:
+            tested.clear()
+            recognize_all(k)
+            # a 0-dimensional input is decided by its vertex count alone
+            assert tested == ([k.dim] if k.dim > 0 else [])
 
     def test_simplex_link_tests_no_edge_by_membership(self, monkeypatch, product_333):
         tested = _count_calls(monkeypatch, "__contains__")
