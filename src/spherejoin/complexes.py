@@ -146,6 +146,7 @@ class SimplicialComplex:
         "_sweep_tables",
         "_rank_floor",
         "_factors",
+        "_twins",
         "_sphere",
         "__weakref__",
     )
@@ -217,11 +218,12 @@ class SimplicialComplex:
         # on the Hochster total over both fields, by its first bounded call
         self._sweep_tables = None
         self._rank_floor = None
-        # a join's factors, kept by the first sweep or floor that splits it
+        # a join's factors, kept by the first sweep or floor that splits it;
+        # a factor's twin quotient, by the first that collapses it
         self._factors = None
+        self._twins = None
         # whether the complex is a GF(2) homology sphere: None until the
-        # certificate in homology runs, then a bool, or the complex whose
-        # answer this one shares (a double's input)
+        # certificate in homology runs, then a bool
         self._sphere = None
 
     @property
@@ -652,13 +654,6 @@ def double(complex_: SimplicialComplex) -> SimplicialComplex:
     must be the input itself, and the non-faces must form an antichain.
     Together with the lemma this proves the lifted family is the double's
     minimal non-faces, so it is stored on the result instead of enumerated.
-
-    The double is the simplicial wedge K(2, ..., 2), which is a homology
-    sphere exactly when the input is one (Bahri, Bendersky, Cohen and
-    Gitler, 2015).  So the result shares the input's homology-sphere
-    certificate: its `_sphere` slot points at the input, or copies the
-    input's answer if that is already known.  The certificate is thereby
-    decided at m vertices, lazily, only when a sweep of the double asks.
     """
     verts = complex_.vertices
     m = len(verts)
@@ -686,7 +681,6 @@ def double(complex_: SimplicialComplex) -> SimplicialComplex:
     out = SimplicialComplex._from_masks(range(2 * m), faces, labels=labels)
     # the non-faces are listed in canonical order, and lifting keeps it
     out._minimal_non_faces = tuple(map(lift, non_faces))
-    out._sphere = complex_ if complex_._sphere is None else complex_._sphere
     return out
 
 

@@ -40,17 +40,17 @@ of the complex is the convolution of the factors' tables: (s1, d1) and
 (s2, d2) give (s1 + s2, d1 + d2 + 1), and a cone apex contributes the unit
 {(0, -1): 1}.  Each factor is swept on its own, over 2^|V_i| subsets
 instead of 2^m, taking its minimal non-faces from the complex's cached
-list.  The double of a join is the join of the doubles, so doubled sweeps
-factor too.
+list, and on its twin quotient (`_twin_quotient`): a double is swept on
+a copy of its input.
 
 On a homology sphere the sweep halves by Alexander duality.  If K is a
 GF(2) homology d-sphere on m vertices, hence a rational one as well, the
 restrictions to J and to its complement V - J have the same ranks in
 degrees i and d-1-i, so only J with |J| <= m/2 (one of each complementary
 pair) is visited and its row is credited to both.  The certificate is
-exact and runs on maximal-face masks (`_certify_sphere`); a double and
-the join factors of a sphere inherit it instead of recomputing it, and a
-complex without it is swept in full.
+exact and runs on maximal-face masks (`_certify_sphere`); the join
+factors of a sphere and twin quotients inherit it instead of recomputing
+it, and a complex without it is swept in full.
 
 The reduced Betti numbers of a full subcomplex K_J have one kernel per
 field, and everything above goes through them.  `_gf2_betti` ranks the
@@ -408,15 +408,10 @@ def _link_levels(levels: list[list[int]], sigma: int) -> list[list[int]]:
 
 def _is_sphere(complex_: SimplicialComplex) -> bool:
     """The homology-sphere certificate of `complex_`, computed once and kept
-    in its `_sphere` slot.  A double's slot names its input, and is
-    resolved on the input at m vertices (`double`)."""
-    known = complex_._sphere
-    if isinstance(known, SimplicialComplex):
-        known = _is_sphere(known)
-    elif known is None:
-        known = _certify_sphere(complex_)
-    complex_._sphere = known
-    return known
+    in its `_sphere` slot."""
+    if complex_._sphere is None:
+        complex_._sphere = _certify_sphere(complex_)
+    return complex_._sphere
 
 
 def _with_duals(table: dict[tuple[int, int], int], m: int, d: int) -> dict[tuple[int, int], int]:
@@ -479,10 +474,15 @@ def _subset_sweep(
     same amount, so an open J stands for both, and `_sweep_table` dualizes
     its rational row rather than eliminate the larger complement.  A
     complex without the certificate visits every subset.
+
+    A factor whose `_twins` slot holds a twin quotient K' is swept on K':
+    each J' gives the row of the union J of its classes, |J| - |J'|
+    degrees up, dualized at the m and dimension of K; the open J are K''s.
     """
-    m = complex_.vertex_count
-    sphere = _is_sphere(complex_)
-    inside = _non_faces_inside(m, complex_._non_face_masks())
+    quotient, sizes = complex_._twins or (complex_, None)
+    m = quotient.vertex_count
+    sphere = _is_sphere(quotient)
+    inside = _non_faces_inside(m, quotient._non_face_masks())
     # the rows of the levels read so far: one per level above the vertices
     rows: list[list[tuple[int, int]]] = []
     covered = 2  # `rows` ranks every visited J of at most this size
@@ -499,22 +499,87 @@ def _subset_sweep(
         if size > covered:
             # J holds a minimal non-face, so K_J has no face of dimension
             # |J| - 1: the levels up to dimension |J| - 2 rank K_J
-            rows += _boundary_rows(complex_._levels(size - 1)[len(rows) :])
+            rows += _boundary_rows(quotient._levels(size - 1)[len(rows) :])
             covered = size
         betti = _gf2_betti(rows, jmask)
         certified = not (any(betti[::2]) and any(betti[1::2]))
+        shift = _twin_shift(jmask, sizes)
         for d, b in enumerate(betti):
             if b:
-                key = (size, d)
+                key = (size + shift, d + shift)
                 gf2[key] = gf2.get(key, 0) + b
                 if certified:
                     rational[key] = rational.get(key, 0) + b
         if not certified:
             uncertified.append(jmask)
     if sphere:
-        gf2 = _with_duals(gf2, m, complex_.dim)
-        rational = _with_duals(rational, m, complex_.dim)
+        gf2 = _with_duals(gf2, complex_.vertex_count, complex_.dim)
+        rational = _with_duals(rational, complex_.vertex_count, complex_.dim)
     return dict(sorted(gf2.items())), dict(sorted(rational.items())), tuple(uncertified)
+
+
+def _twin_quotient(complex_: SimplicialComplex) -> tuple[SimplicialComplex, list[int] | None]:
+    """The complex K' that the join factor K is swept and floored on, and
+    the size of the twin class each vertex of K' stands for; K and None
+    when K has no twins or one minimal non-face (a simplex boundary).
+
+    Twins are vertices that the same minimal non-faces hold.  K' has one
+    vertex per class C_w, and its non-faces and facets are the images
+    {w : C_w inside S} of K's.  K is the simplicial wedge of K' (Bahri,
+    Bendersky, Cohen and Gitler, 2015), so its multigraded Betti numbers
+    are K''s (Gasharov, Peeva and Welker, 1999): a J that splits a class
+    is a cone, and for the union J of the classes of J', K_J has the ranks
+    of K'_J' moved up |J| - |J'| degrees.  So K' has K's |chi| sum, and is
+    a sphere iff K is; it takes K's certificate.  A facet of K misses one
+    vertex of each class outside it, which the facet count checks.  Kept
+    in the `_twins` slot, which `_subset_sweep` reads.
+    """
+    if complex_._twins is None:
+        non_faces = complex_._non_face_masks()
+        # a twin of a vertex of a 2-element non-face N is in N, and then no
+        # other non-face holds either: with two or more, it has none
+        loose = complex_._full_mask
+        for nf in non_faces:
+            if nf.bit_count() == 2:
+                loose &= ~nf
+        held: dict[int, int] = {}  # per loose vertex, the non-faces that hold it
+        if len(non_faces) > 1 and loose & (loose - 1):
+            for i, nf in enumerate(non_faces):
+                for b in bits(nf & loose):
+                    held[b] = held.get(b, 0) | 1 << i
+        found: dict[int, int] = {}
+        for b, h in held.items():
+            found[h] = found.get(h, 0) | b
+        if len(found) == len(held):
+            complex_._twins = ()
+            return complex_, None
+        # in order of their lowest vertex, which keeps the canonical order
+        classes = [*found.values(), *bits(complex_._full_mask & ~loose)]
+        classes.sort(key=lambda c: c & -c)
+
+        def image(mask: int) -> int:
+            return sum(1 << w for w, c in enumerate(classes) if mask & c == c)
+
+        sizes = [c.bit_count() for c in classes]
+        tops = map(image, complex_._max_masks)
+        quotient = SimplicialComplex._from_masks(range(len(classes)), tops)
+        outside = [quotient._full_mask & ~t for t in quotient._max_masks]
+        facets = sum(prod(sizes[b.bit_length() - 1] for b in bits(o)) for o in outside)
+        if facets != len(complex_._max_masks):
+            raise InternalInvariantError(
+                "twin classes of the minimal non-faces do not rebuild the complex"
+            )
+        quotient._minimal_non_faces = tuple(map(image, non_faces))
+        quotient._sphere = complex_._sphere
+        complex_._twins = (quotient, sizes)
+    return complex_._twins or (complex_, None)
+
+
+def _twin_shift(jmask: int, sizes: list[int] | None) -> int:
+    """|J| - |J'| for the union J of the twin classes of the vertex set J'."""
+    if sizes is None:
+        return 0
+    return sum(sizes[low.bit_length() - 1] for low in bits(jmask)) - jmask.bit_count()
 
 
 def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
@@ -534,14 +599,13 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
     complex that has a different count was given a wrong list of minimal
     non-faces, and raises rather than sweep wrongly.
 
-    A complex whose homology-sphere certificate is already settled, or is
-    inherited (a double's), passes its answer to every factor.  Every join
-    factor of a sphere is a sphere: in A * B the link of alpha joined with
-    a maximal face of B is the link of alpha in A.  Factors of a complex
-    that is not a sphere are swept in full, as it would be, so a double
-    never certifies anything at its own 2m vertices.  A complex whose
-    certificate nobody has asked for leaves it to each factor, which
-    certifies itself, on its own vertices, when it is swept or floored.
+    A complex whose homology-sphere certificate is already settled passes
+    its answer to every factor.  Every join factor of a sphere is a sphere:
+    in A * B the link of alpha joined with a maximal face of B is the link
+    of alpha in A.  Factors of a complex that is not a sphere are swept in
+    full, as it would be.  A complex whose certificate nobody has asked for
+    leaves it to each factor, which certifies its twin quotient when it is
+    swept or floored: a double's factors, copies of its input's.
 
     A join keeps its factors in its `_factors` slot (a complex that is its
     own single factor keeps nothing, so it never holds itself), and a
@@ -562,13 +626,12 @@ def _join_factors(complex_: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
         components = [*rest, merged]
     if components == [complex_._full_mask]:
         return (complex_,)
-    sphere = None if complex_._sphere is None else _is_sphere(complex_)
     factors = []
     for c in sorted(components, key=lambda c: c & -c):
         masks = compress_masks([f & c for f in complex_._max_masks], c)
         factor = SimplicialComplex._from_masks(complex_._ids(c), masks)
         factor._minimal_non_faces = tuple(compress_masks([nf for nf in non_faces if nf & c], c))
-        factor._sphere = sphere
+        factor._sphere = complex_._sphere
         factors.append(factor)
     if prod(len(f._max_masks) for f in factors) != len(complex_._max_masks):
         raise InternalInvariantError(
@@ -605,14 +668,16 @@ def _sweep_table(
 
     The sweep factors over the join components of the minimal non-faces
     (`_join_factors`): each factor is swept once by `_subset_sweep`, over
-    2^|V_i| subsets instead of 2^m, and the complex's table is the
-    convolution of the factors' tables (`_convolve`).  A complex with one
-    component covering every vertex is its own single factor.
+    2^|V_i| subsets instead of 2^m, or 2^k for its k twin classes
+    (`_twin_quotient`), and the complex's table is the convolution of the
+    factors' tables (`_convolve`).  A complex with one component covering
+    every vertex is its own single factor.
 
     Tables are cached on the complex, so they go when the complex does, and
     are sorted by key, so their order does not depend on the sweep's.  With
     `stop_above`, a complex without tables first gets its Euler floor, the
-    product of its factors' `_euler_floor`s, once, in its `_rank_floor`
+    product of its factors' `_euler_floor`s, each taken on its twin
+    quotient, once, in its `_rank_floor`
     slot; if the floor passes the bound the result is None and nothing is
     swept.  Otherwise, now or in a later unbounded call, the same factors,
     kept on the complex with the certificates the floor settled, are swept
@@ -638,13 +703,13 @@ def _sweep_table(
     if complex_._sweep_tables is None:
         if stop_above is not None:
             if complex_._rank_floor is None:
-                complex_._rank_floor = prod(
-                    _euler_floor(f, _is_sphere(f)) for f in _join_factors(complex_)
-                )
+                quotients = [_twin_quotient(f)[0] for f in _join_factors(complex_)]
+                complex_._rank_floor = prod(_euler_floor(q, _is_sphere(q)) for q in quotients)
             if complex_._rank_floor > stop_above:
                 return None
         factors = _join_factors(complex_)
         if factors == (complex_,):
+            _twin_quotient(complex_)  # settles the slot the sweep reads
             tables = _subset_sweep(complex_)
         else:
             # the rational table waits, until asked for, on the factors'
@@ -660,18 +725,20 @@ def _sweep_table(
     else:
         # a fresh table, swapped in whole, so concurrent callers never add twice
         rational = dict(rational)
+        quotient, sizes = _twin_quotient(complex_)
         # an open J holds a minimal non-face, so the levels up to
         # dimension |J| - 2 rank it, as in the sweep
-        by_dim = complex_._levels(max(map(int.bit_count, pending)) - 1)
+        by_dim = quotient._levels(max(map(int.bit_count, pending)) - 1)
         opened: dict[tuple[int, int], int] = {}
         for jmask in pending:
+            shift = _twin_shift(jmask, sizes)
             for d, b in enumerate(_rational_betti(by_dim, jmask)):
                 if b:
-                    key = (jmask.bit_count(), d)
+                    key = (jmask.bit_count() + shift, d + shift)
                     opened[key] = opened.get(key, 0) + b
-        if complex_._sphere:
-            # the sweep resolved the certificate: an open J stands for its
-            # complement too, which is never eliminated
+        if _is_sphere(quotient):
+            # an open J stands for its complement too, which is never
+            # eliminated
             opened = _with_duals(opened, complex_.vertex_count, complex_.dim)
         for key, b in opened.items():
             rational[key] = rational.get(key, 0) + b

@@ -1,5 +1,5 @@
 import sys
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spherejoin import SimplicialComplex, boundary_of_simplex, build_complex, simplex_boundary_on
+from spherejoin import (
+    SimplicialComplex,
+    boundary_of_simplex,
+    build_complex,
+    reconstruct_from_non_faces,
+    simplex_boundary_on,
+)
 from spherejoin.catalog import build_catalog
 
 
@@ -106,5 +112,29 @@ def spheres(draw, max_vertices=8):
         if kind == "join" and room >= 2:
             other = draw(subdivided_boundaries(room))
             k = k.join(other.relabel({v: v + k.vertex_count for v in other.vertices}))
+    perm = draw(st.permutations(list(k.vertices)))
+    return k.relabel(dict(zip(k.vertices, perm)))
+
+
+def wedge(k, sizes):
+    """The simplicial wedge k(sizes): vertex i of k, in vertex order, becomes
+    a run of sizes[i] consecutive vertices, and the minimal non-faces are
+    k's, each vertex replaced by its run."""
+    start = list(accumulate([0, *sizes]))
+    runs = {v: range(start[i], start[i + 1]) for i, v in enumerate(k.vertices)}
+    lifted = [{u for v in nf for u in runs[v]} for nf in k.minimal_non_faces()]
+    return reconstruct_from_non_faces(range(start[-1]), lifted)
+
+
+@st.composite
+def wedges(draw, max_vertices=11):
+    """Wedges of `complexes` and `spheres` draws with runs of 1-3 vertices,
+    randomly relabelled, so that twins need not be neighbours."""
+    k = draw(st.one_of(complexes(max_vertices=5), spheres(max_vertices=5)))
+    sizes = []
+    for _ in k.vertices:
+        room = max_vertices - sum(sizes) - (k.vertex_count - len(sizes) - 1)
+        sizes.append(draw(st.integers(min_value=1, max_value=min(3, room))))
+    k = wedge(k, sizes)
     perm = draw(st.permutations(list(k.vertices)))
     return k.relabel(dict(zip(k.vertices, perm)))

@@ -36,7 +36,7 @@ from spherejoin import (
 from spherejoin import complexes as complexes_module
 from spherejoin import homology
 
-from conftest import complexes, cycle, pinched_octahedron, spheres
+from conftest import complexes, cycle, pinched_octahedron, spheres, wedge, wedges
 from oracle import (
     cycle_oracle,
     down_closure,
@@ -646,6 +646,26 @@ def torus():
     )
 
 
+def icosahedron():
+    """The icosahedron: apexes 0 and 11 over the rings 1-5 and 6-10.  The
+    link of 0 and the apex 11 span a pentagon and a point, whose GF(2)
+    homology has both parities, so the parity test leaves them open."""
+    faces = []
+    for i in range(5):
+        u, u1, w, w1 = 1 + i, 1 + (i + 1) % 5, 6 + i, 6 + (i + 1) % 5
+        faces += [{0, u, u1}, {11, w, w1}, {u, u1, w}, {u1, w, w1}]
+    return build_complex(faces, 12)
+
+
+def certified_double(k):
+    """The double of `k` with the certificate of `k`, decided at its m
+    vertices: the double is a sphere iff `k` is, so its uncollapsed
+    factors are swept with the duality halving."""
+    out = double(copy_of(k, None))
+    out._sphere = homology._certify_sphere(k)
+    return out
+
+
 def copy_of(k, sphere):
     """A fresh copy of `k`, with nothing swept, whose `_sphere` slot holds
     `sphere`; False makes the sweep visit every subset."""
@@ -737,7 +757,9 @@ class TestSphereCertificate:
             assert not any(link[len(expected) :])
 
     def test_doubles_inherit_what_they_would_compute(self, catalog):
-        # the double is a sphere iff its input is, whichever way it is decided
+        # the double is a sphere iff its input is; each factor of a double
+        # is one iff its twin quotient is, which takes the factor's settled
+        # answer and otherwise certifies itself
         inputs = [entry.complex for entry in catalog] + [
             projective_plane(),
             SimplicialComplex([{0, 1, 2}]),
@@ -748,19 +770,19 @@ class TestSphereCertificate:
             if 2 * k.vertex_count > 12:
                 continue
             expected = homology._certify_sphere(k)
-            inherited = double(copy_of(k, None))
-            assert inherited._sphere is not None
-            assert homology._is_sphere(inherited) is expected
             assert homology._certify_sphere(double(k)) is expected, k
+            for factor in homology._join_factors(double(k)):
+                answer = homology._certify_sphere(copy_of(factor, None))
+                quotient, _ = homology._twin_quotient(copy_of(factor, None))
+                assert homology._is_sphere(quotient) is answer, k
+                assert homology._twin_quotient(copy_of(factor, answer))[0]._sphere is answer
 
     @pytest.mark.parametrize("field", BOTH)
     def test_via_double_certifies_at_m_vertices(self, monkeypatch, catalog, field):
         inputs = [entry.complex for entry in catalog] + [
             join_after(cycle(5), POINT),  # a cone: no sphere, but a sphere factor
+            projective_plane(),
         ]
-        if field is Field.GF2:
-            # over Q its double needs a slow elimination of all 12 vertices
-            inputs.append(projective_plane())
         certified = spy(monkeypatch, "_certify_sphere")
         for k in inputs:
             if 2 * k.vertex_count > 14:
@@ -768,7 +790,12 @@ class TestSphereCertificate:
             k = copy_of(k, None)
             certified.clear()
             hochster_rank_via_double(k, field)
-            assert certified == [k]
+            # once per factor, on its twin quotient, a copy of a factor of
+            # k, or on the factor itself when it is a simplex boundary,
+            # which its masks decide
+            assert len(certified) == len(homology._join_factors(copy_of(k, None)))
+            for c in certified:
+                assert c.vertex_count <= k.vertex_count or c.is_simplex_boundary()
 
     def test_floor_factors_serve_the_sweep(self, monkeypatch):
         # the criteria's floor certifies the prism's two factors, and the
@@ -897,9 +924,8 @@ class TestLazyRows:
         # every restriction these sweeps visit is a cone: the double of the
         # 4-simplex boundary is the 9-simplex boundary, and the double of
         # the join of a point pair and a triangle joins those of the 3- and
-        # 5-simplex; each total is the empty J and its dual, K itself.  The
-        # inputs are certified spheres first, at their own vertices, and the
-        # doubles inherit that
+        # 5-simplex; each total is the empty J and its dual, K itself.  Each
+        # factor is a simplex boundary, which its masks certify
         inputs = [
             boundary_of_simplex(4),
             simplex_boundary_on([0, 1]).join(simplex_boundary_on([2, 3, 4])),
@@ -921,21 +947,29 @@ class TestLazyRows:
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("field", BOTH)
     def test_doubled_sweep_builds_faces_as_far_as_it_ranks(self, monkeypatch, n, field):
-        # the pentagon's double has faces up to dimension 6, the hexagon's
-        # up to 7, but their sweeps rank J of at most 4 and 6 vertices: the
-        # face store holds the levels up to dimension |J| - 2, no more
+        # the double of the n-cycle is swept on its twin quotient, a copy of
+        # the n-cycle: the double lists no face, and the quotient ranks the
+        # J a fresh n-cycle ranks, at most 2 and 3 vertices, from the levels
+        # up to dimension |J| - 2 past the first two sizes, no more
         ranked = []
         gf2_betti = homology._gf2_betti
         monkeypatch.setattr(
             homology, "_gf2_betti", lambda rows, jmask: ranked.append(jmask) or gf2_betti(rows, jmask)
         )
         pulled = level_spy(monkeypatch)
+        assert hochster_total_rank(cycle(n), field) == cycle_oracle(n)[1]
+        fresh = (list(ranked), list(pulled))
+        ranked.clear()
+        pulled.clear()
         k = double(cycle(n))
         assert hochster_total_rank(k, field) == cycle_oracle(n)[1]
-        largest = max(map(int.bit_count, ranked))
-        assert largest == {5: 4, 6: 6}[n]
-        assert pulled == list(range(largest - 1))
-        assert k._faces[0] == down_closure(k._max_masks)[: largest - 1]
+        assert (ranked, pulled) == fresh
+        assert max(map(int.bit_count, ranked)) == {5: 2, 6: 3}[n]
+        assert pulled == {5: [], 6: [0, 1]}[n]
+        quotient, sizes = homology._twin_quotient(k)
+        assert sizes == [2] * n and quotient._max_masks == cycle(n)._max_masks
+        assert quotient._faces[0] == down_closure(quotient._max_masks)[: len(pulled)]
+        assert k._faces[0] == []
 
     def test_open_restrictions_read_partial_levels(self, monkeypatch):
         # three tetrahedra around the edge {0, 1}, and a point: K_J for
@@ -953,15 +987,94 @@ class TestLazyRows:
         assert k.dim == 3 and pulled == [0, 1, 2, 3]
 
     def test_doubles_of_catalog_match_full_rows(self, catalog):
-        # the factors crosscheck's doubled identity sweeps, against the
-        # sweep that builds every row first
+        # the factors of each double, swept as they are, against the sweep
+        # that builds every row first
         for entry in catalog:
             if 2 * entry.complex.vertex_count > 16:
                 continue
-            lazy = homology._join_factors(double(copy_of(entry.complex, None)))
-            full = homology._join_factors(double(copy_of(entry.complex, None)))
+            lazy = homology._join_factors(certified_double(entry.complex))
+            full = homology._join_factors(certified_double(entry.complex))
             for a, b in zip(lazy, full, strict=True):
                 assert homology._subset_sweep(a) == subset_sweep_reference(b), entry.name
+
+
+def reference_tables(k):
+    """Both fields' tables of `k` from `subset_sweep_reference`, which sweeps
+    `k` itself, with no join factors and no twin quotient, and ranks the
+    subsets it leaves open over Q on the faces of `k`."""
+    gf2, rational, pending = subset_sweep_reference(k)
+    by_dim = k.faces_by_dim()
+    opened = {}
+    for jmask in pending:
+        for d, b in enumerate(homology._rational_betti(by_dim, jmask)):
+            if b:
+                opened[(jmask.bit_count(), d)] = opened.get((jmask.bit_count(), d), 0) + b
+    if homology._is_sphere(k):
+        opened = homology._with_duals(opened, k.vertex_count, k.dim)
+    for key, b in opened.items():
+        rational[key] = rational.get(key, 0) + b
+    return {Field.GF2: gf2, Field.RATIONAL: dict(sorted(rational.items()))}
+
+
+class TestTwinQuotient:
+    """A join factor is swept and floored on its twin quotient K', with
+    each row moved to the union of its classes; every figure must still
+    match the references that sweep the complex itself."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(wedges())
+    # classes of 1, 2 and 3 vertices
+    @example(wedge(cycle(5), [1, 2, 1, 3, 1]))
+    # a point pair widened to a triangle boundary, a simplex-boundary factor
+    # left as it is, joined to a pentagon with one class of 2 vertices
+    @example(wedge(join_after(simplex_boundary_on([0, 1]), cycle(5)), [2, 1, 1, 2, 1, 1, 1]))
+    @example(wedge(projective_plane(), [2, 1, 1, 1, 1, 1]))
+    # a sphere whose open J' stand for their complements too
+    @example(wedge(icosahedron(), [1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1]))
+    def test_wedges_match_the_references(self, k):
+        tables = sweep_tables(copy_of(k, None))
+        assert tables == reference_tables(copy_of(k, None))
+        if k.vertex_count <= 8 and sum(k.f_vector()) <= TestAlexanderDuality.ORACLE_FACES:
+            assert tables == oracle_tables(k.vertices, k.maximal_faces)
+        floor = hochster_total_rank(copy_of(k, None), Field.GF2, stop_above=0)
+        assert floor == euler_floor_oracle(k.vertices, k.maximal_faces)
+        for factor in homology._join_factors(copy_of(k, None)):
+            quotient, sizes = homology._twin_quotient(factor)
+            if sizes is None:
+                continue
+            assert sum(sizes) == factor.vertex_count > quotient.vertex_count
+            fresh = SimplicialComplex(quotient.maximal_faces, vertices=quotient.vertices)
+            assert quotient._non_face_masks() == fresh._non_face_masks()
+            assert homology._certify_sphere(copy_of(factor, None)) == homology._certify_sphere(fresh)
+
+    def test_doubles_of_catalog_match_the_uncollapsed_reference(self, catalog):
+        # each factor of a double, swept on its twin quotient, against the
+        # reference sweep of the factor itself
+        for entry in catalog:
+            if 2 * entry.complex.vertex_count > 20:
+                continue
+            for factor in homology._join_factors(certified_double(entry.complex)):
+                expected = reference_tables(copy_of(factor, factor._sphere))
+                assert sweep_tables(factor) == expected, entry.name
+
+    def test_floor_reads_the_quotient(self):
+        # the criteria's floor of a double is its input's, taken on the twin
+        # quotient, a copy of the 7-cycle: the double lists no face
+        k = double(cycle(7))
+        for field in BOTH:
+            assert not hochster_rank_criterion(k, field)
+        assert k._rank_floor == cycle_oracle(7)[1] and k._sweep_tables is None
+        assert k._faces[0] == []
+
+    def test_wrong_non_faces_raise(self):
+        # with these two non-faces 0 and 1, and 3 and 4, look like twins; the
+        # pentagon's 5 edges are not the 8 facets such a wedge would have
+        k = cycle(5)
+        k._minimal_non_faces = (0b00111, 0b11011)
+        for field in BOTH:
+            with pytest.raises(InternalInvariantError):
+                hochster_total_rank(k, field)
+        assert k._sweep_tables is None and k._twins is None
 
 
 class TestOneFaceStore:
@@ -970,10 +1083,13 @@ class TestOneFaceStore:
 
     @staticmethod
     def stacked_sphere():
-        # the tetrahedron boundary with two facets subdivided in turn: a
-        # 2-sphere whose minimal non-faces leave it one join component
+        # the tetrahedron boundary with three facets subdivided in turn: a
+        # 2-sphere whose minimal non-faces leave it one join component and
+        # no two vertices twins, so its sweep reads its own store
         k = boundary_of_simplex(3).stellar_subdivide({0, 1, 2}).stellar_subdivide({0, 1, 4})
+        k = k.stellar_subdivide({1, 2, 4})
         assert homology._join_factors(k) == (k,)
+        assert homology._twin_quotient(k) == (k, None)
         return k
 
     @staticmethod
@@ -1204,6 +1320,13 @@ class TestViaDouble:
         with pytest.raises(CapExceededError):
             hochster_rank_via_double(pentagon, Field.GF2, cap=9)
 
+    @pytest.mark.parametrize("make, totals", [(projective_plane, (34, 32)), (torus, (130, 130))])
+    def test_surfaces(self, make, totals):
+        # each double is swept on a copy of its input, at 6 and 7 vertices
+        for field, total in zip(BOTH, totals):
+            assert hochster_rank_via_double(make(), field) == total
+            assert hochster_total_rank(make(), field) == total
+
 
 class TestBigraded:
     def test_square_entries(self, square):
@@ -1264,6 +1387,25 @@ class TestRankLowerBounds:
         rep = check_rank_lower_bounds(boundary_of_simplex(3), Field.GF2)
         assert rep.holds and rep.total_rank == rep.total_bound == 2
         assert all(b.rank == b.bound == 2 for b in rep.per_link)
+
+    @pytest.mark.parametrize("short", ["total", "link"])
+    def test_each_bound_alone_decides(self, monkeypatch, square, short):
+        # the square meets every bound with equality; one total one short of
+        # its bound, the square's own or its first link's, fails the report
+        original = homology.hochster_total_rank
+        shortened = []
+
+        def total(k, field, cap=homology.DEFAULT_CAP):
+            if not shortened and (k is square) == (short == "total"):
+                shortened.append(k)
+                return original(k, field, cap) - 1
+            return original(k, field, cap)
+
+        monkeypatch.setattr(homology, "hochster_total_rank", total)
+        rep = check_rank_lower_bounds(square, Field.GF2)
+        assert not rep.holds and not rep
+        assert (rep.total_rank < rep.total_bound) == (short == "total")
+        assert [b.holds for b in rep.per_link].count(False) == (short == "link")
 
     def test_short_link_refused_before_any_sweep(self, monkeypatch):
         # the isolated vertex 3 has an empty link, too small for dimension 2

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from spherejoin import (
     Field,
     IndexOutOfRangeError,
     PreconditionViolatedError,
+    RecognitionReport,
     SimplicialComplex,
     SphereJoinDecomposition,
     UncoveredVertexError,
@@ -19,16 +22,19 @@ from spherejoin import (
     cycle_length,
     decompose_by_non_faces,
     double,
+    hochster_rank_via_double,
+    hochster_total_rank,
     is_pseudomanifold,
     recognize_all,
     recognize_recursive,
     simplex_boundary_on,
 )
-from spherejoin import complexes as complexes_module, recognition
+from spherejoin import complexes as complexes_module, homology, recognition
 from spherejoin.catalog import polytope_bundle
+from spherejoin.cli import main
 from spherejoin.geometry import polytope_from_spec
 
-from conftest import complexes, pinched_cylinder, pinched_octahedron, spheres
+from conftest import complexes, cycle, pinched_cylinder, pinched_octahedron, spheres
 
 
 @pytest.fixture
@@ -310,6 +316,20 @@ class TestRecognizeAll:
         for item in data["criteria"]:
             assert set(item) == {"criterion", "verdict", "witness"}
 
+    def test_one_dissenting_criterion_is_reported(self, monkeypatch, capsys, prism_dual):
+        # SimplexLink made to answer no on a product: the report must say the
+        # criteria disagree, give no decomposition, and --assert exit 3
+        dissent = RecognitionReport("SimplexLink", False, {"kind": "injected"})
+        monkeypatch.setattr(recognition, "check_simplex_link", lambda k: dissent)
+        rep = recognize_all(prism_dual)
+        assert rep.verdicts["SimplexLink"] is False and rep.verdicts["NonFacePartition"] is True
+        assert not rep.agreement and not rep.positive and rep.decomposition is None
+        data = rep.to_json_dict()
+        assert data["agreement"] is False and data["decomposition"] is None
+        assert main(["recognize", "--gen", "product:2,1", "--assert"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["agreement"] is False and out["decomposition"] is None
+
 
 class TestWitnessKinds:
     """Exact witnesses of the SimplexLink, TwoFace and Recursive criteria."""
@@ -507,6 +527,36 @@ class TestWorkCounts:
         assert check_simplex_link(product_333).verdict
         # every face test is a bit test against the minimal non-faces
         assert tested == []
+
+    @pytest.mark.parametrize("n", [5, 8, 10])
+    def test_double_ranks_what_its_input_ranks(self, monkeypatch, n):
+        # the double of the n-cycle is swept on its twin quotient, a copy
+        # of the n-cycle: it ranks the restrictions the n-cycle ranks, with
+        # the same matrices, not their doubles
+        ranked, matrices = [], []
+        betti, rank = homology._gf2_betti, homology.gf2_rank
+        monkeypatch.setattr(
+            homology, "_gf2_betti", lambda rows, jmask: ranked.append(jmask) or betti(rows, jmask)
+        )
+        monkeypatch.setattr(homology, "gf2_rank", lambda rows: matrices.append(rows) or rank(rows))
+        hochster_total_rank(cycle(n), Field.GF2)
+        fresh = (list(ranked), list(matrices))
+        ranked.clear()
+        matrices.clear()
+        hochster_rank_via_double(cycle(n), Field.GF2, cap=2 * n)
+        assert len(ranked) == len(fresh[0]) > 0
+        assert (ranked, matrices) == fresh
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_simplex_boundary_certified_without_ranks(self, monkeypatch, k):
+        # a simplex boundary is recognized from its masks, with no homology
+        ranked = []
+        betti = homology._gf2_betti
+        monkeypatch.setattr(
+            homology, "_gf2_betti", lambda rows, jmask: ranked.append(jmask) or betti(rows, jmask)
+        )
+        assert homology._certify_sphere(boundary_of_simplex(k))
+        assert ranked == []
 
     @pytest.mark.parametrize("pure", [True, False])
     def test_pseudomanifold_enumerates_no_faces(self, pure):
